@@ -21,6 +21,7 @@ from . import __version__
 from .acceptance import AcceptanceContext, run_acceptance
 from .criticality import (
     critical_point,
+    decay_exponent,
     estimate_asymptotics,
     eval_at_tnu,
     mean_matrix,
@@ -257,14 +258,12 @@ def cmd_sample(args) -> int:
             m = mcmc_sample(nu, args.n, args.steps, seed=seeds[i])
             maps.append(m)
     elif args.mode == "boltzmann":
-        crit = critical_point(nu)
         if args.t == "t_nu":
-            t_iv = crit.t_nu
-            alpha = crit.alpha
+            t_iv = critical_point(nu).t_nu
         else:
             t_iv = Interval(Fraction(args.t))
-            alpha = crit.alpha
-        bctx = BoltzmannContext(nu, t_iv, series_order=args.series_order, alpha=alpha)
+        bctx = BoltzmannContext(nu, t_iv, series_order=args.series_order,
+                                alpha=decay_exponent(nu))
         word = normalize_word(args.word)
         for i in range(args.reps):
             m = boltzmann_sample(word, nu, bctx, seed=seeds[i], step_cap=args.step_cap)

@@ -145,6 +145,15 @@ def _isolate_positive_roots(coeffs: list[Fraction], width: Fraction) -> list[Int
     return roots
 
 
+def decay_exponent(nu: Scalar) -> Fraction:
+    """Exponent alpha of the coefficient asymptotics c_n ~ kappa rho^-n n^-alpha:
+    7/3 at the critical weight nu_c, 5/2 at every other positive weight."""
+    nu = as_scalar(nu)
+    if not nu > 0:
+        raise ValueError("nu must be positive")
+    return Fraction(7, 3) if nu == NU_C else Fraction(5, 2)
+
+
 @dataclass
 class CriticalData:
     """Regime, singularity location and derived constants for one weight."""
@@ -162,7 +171,7 @@ class CriticalData:
     @property
     def alpha(self) -> Fraction:
         """Polynomial decay exponent of coefficient asymptotics."""
-        return Fraction(7, 3) if self.regime == "critical" else Fraction(5, 2)
+        return decay_exponent(self.nu)
 
     def to_json(self) -> dict:
         out = {
@@ -252,19 +261,27 @@ def critical_point(nu: Scalar, width: Fraction = Fraction(1, 10 ** 30)) -> Criti
 # evaluation at the singularity with a power-law tail
 # ---------------------------------------------------------------------------
 
-def _tail_sum(alpha: float, n_start: float, step: float = 1.0) -> float:
-    """sum_{j>=0} (n_start + j*step)^-alpha, by direct summation plus an
-    integral bound once terms are tiny."""
-    total = 0.0
-    n = n_start
-    while True:
-        term = n ** -alpha
-        total += term
-        n += step
-        if term < 1e-16 * max(total, 1e-300) or n > n_start + 10_000_000:
-            # integral remainder bound for the rest
-            total += n ** (1 - alpha) / ((alpha - 1) * step)
-            return total
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)   # B_2 .. B_12
+
+
+def _tail_sum(alpha: float, n_start: float) -> float:
+    """sum_{j>=0} (n_start + j)^-alpha, the Hurwitz zeta zeta(alpha, n_start).
+
+    Euler-Maclaurin: ten terms directly, then at x = n_start + 10 the
+    integral x^(1-alpha)/(alpha-1), the half term and the Bernoulli
+    corrections B_2k/(2k)! alpha(alpha+1)...(alpha+2k-2) x^(1-alpha-2k)
+    for k = 1..6.  For 1 < alpha <= 4 and n_start >= 1 the first omitted
+    correction is below 2e-16 of the sum.
+    """
+    total = math.fsum((n_start + j) ** -alpha for j in range(10))
+    x = n_start + 10
+    total += x ** (1 - alpha) / (alpha - 1) + x ** -alpha / 2
+    rising, factorial = alpha, 2.0
+    for k, b in enumerate(_BERNOULLI, 1):
+        total += b / factorial * rising * x ** (1 - alpha - 2 * k)
+        rising *= (alpha + 2 * k - 1) * (alpha + 2 * k)
+        factorial *= (2 * k + 1) * (2 * k + 2)
+    return total
 
 
 def eval_series_interval(series: TSeries, t: Interval, alpha: Fraction | float | None,
@@ -497,39 +514,6 @@ def mean_matrix(crit: CriticalData, z_plus: Interval, z_plusplus: Interval,
         "t_nu": T, "Z_+": z1, "Z_++": z2, "Z_-+": zm,
         "nu_min1": nmin, "nu_max1": nmax,
     })
-
-
-def offspring_distributions(crit: CriticalData, z_plus: Interval, z_plusplus: Interval,
-                            z_minusplus: Interval) -> dict:
-    """Per-type offspring cases (probabilities as intervals) behind the matrix."""
-    nu = crit.nu
-    T = crit.t_nu
-    nuv = scalar_to_float(nu, 96)
-    nmin = scalar_to_float(nu if nu < 1 else Fraction(1), 96)
-    nmax = scalar_to_float(nu if nu > 1 else Fraction(1), 96)
-    one = Interval(Fraction(1))
-    z1 = z_plus
-    out = {}
-    out["+"] = [
-        ("two children +,+", nuv * T * z1),
-        ("one child ++", nuv * T * z_plusplus / z1),
-        ("one child -+", nuv * T * z_minusplus / z1),
-    ]
-    for a, za in (("+", z_plusplus), ("-", z_minusplus)):
-        w = nuv if a == "+" else Interval(Fraction(1))
-        out[a + "+"] = [
-            ("no child", w * T / za),
-            ("one child " + a + "+", w * T * z1),
-            ("two children +," + a + "+", w * T * z1),
-            ("one child W" + a + "+", one - w * T / za - w * T * z1 * 2),
-        ]
-        q = nmin * nmin * T * T * za / (one - nmin * T * z1 * 2)
-        out["W" + a + "+"] = [
-            ("one child " + a + "+", q),
-            ("two children +,W" + a + "+", nmax * T * z1),
-            ("one child W" + a + "+", one - nmax * T * z1 - q),
-        ]
-    return out
 
 
 def spectral_radius(m: MeanMatrix, tol: Fraction = Fraction(1, 10 ** 8),

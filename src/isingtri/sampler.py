@@ -461,10 +461,13 @@ def exact_sample(nu: Scalar, n: int, seed: int,
 class BoltzmannContext:
     """Evaluations Z_omega(t) for peeling at fugacity t <= t_nu.
 
-    Values come from the word-series table: a geometric tail bound at
-    rational t strictly below t_nu, or the power-law tail model at t_nu.
-    Case probabilities are renormalized to sum to one; the discrepancy is
-    logged and must stay below `tolerance`.
+    Values are the midpoints of `eval_series_interval` on the word-series
+    table: the partial sum at t plus, whenever `alpha` is given, the
+    power-law tail model kappa (k/3)^-alpha fitted to the last coefficients,
+    whatever t is; with `alpha` None, the partial sum alone.  Below t_nu the
+    true tail decays geometrically, so there the model over-estimates it
+    (heuristic).  Case probabilities are renormalized to sum to one; the
+    discrepancy is logged and must stay below `tolerance`.
     """
 
     def __init__(self, nu: Scalar, t: Interval, series_order: int = 30,

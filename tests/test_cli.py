@@ -126,11 +126,16 @@ def test_sample_exact_with_output(tmp_path):
     validate(out2["result"], "stats")
 
 
-def test_sample_determinism():
-    args = ("sample", "exact", "--nu", "2", "--n", "1", "--seed", "4242", "--reps", "3")
+@pytest.mark.parametrize("mode_args", [
+    ("exact", "--nu", "2", "--n", "1"),
+    ("boltzmann", "--nu", "2", "--t", "1/20", "--word", "++", "--series-order", "7"),
+], ids=["exact", "boltzmann"])
+def test_sample_determinism(mode_args):
+    args = ("sample", *mode_args, "--seed", "4242", "--reps", "3")
     a = json.loads(run_cli(*args).stdout)
     b = json.loads(run_cli(*args).stdout)
     assert a["manifest"]["output_hashes"] == b["manifest"]["output_hashes"]
+    validate(a["result"], "sample")
 
 
 def test_report_quick_single_criterion():

@@ -7,7 +7,9 @@ from isingtri.criticality import (
     AsymptoticFit,
     InsufficientOrder,
     NegativeEntry,
+    _tail_sum,
     critical_point,
+    decay_exponent,
     estimate_asymptotics,
     eval_at_tnu,
     eval_series_interval,
@@ -32,6 +34,7 @@ def test_critical_point_at_nu_c():
     assert crit.regime == "critical"
     assert crit.rho_exact == RHO_NU_C
     assert abs(float(crit.t_nu) - 0.23451626301100736) < 1e-12
+    assert crit.alpha == decay_exponent(NU_C) == Fraction(7, 3)
 
 
 def test_critical_point_nu_one():
@@ -41,6 +44,7 @@ def test_critical_point_nu_one():
     sq = crit.rho.mid ** 2
     assert abs(sq - Fraction(1, 1728)) < Fraction(1, 10 ** 25)
     assert crit.selection_margin < 0.05
+    assert crit.alpha == decay_exponent(Fraction(1)) == Fraction(5, 2)
 
 
 def test_regimes_and_monotone_rho():
@@ -82,6 +86,18 @@ def test_eval_geometric_regime_matches_partial_sums():
     with_tail = eval_series_interval(s, t_half, Fraction(5, 2))
     plain = s.eval_interval(t_half)
     assert with_tail.lo <= plain.hi and plain.lo <= with_tail.hi
+
+
+@pytest.mark.parametrize("alpha", [Fraction(5, 2), Fraction(7, 3)])
+@pytest.mark.parametrize("n_start", [Fraction(4, 3), Fraction(5, 3), Fraction(2), Fraction(3),
+                                     Fraction(11, 3), Fraction(11), Fraction(100)])
+def test_tail_sum_matches_hurwitz_zeta(alpha, n_start):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = mpmath.zeta(mpmath.mpf(alpha.numerator) / alpha.denominator,
+                          mpmath.mpf(n_start.numerator) / n_start.denominator)
+        rel = abs((_tail_sum(float(alpha), float(n_start)) - ref) / ref)
+    assert rel <= 1e-13
 
 
 def test_asymptotics_on_synthetic_model():
