@@ -110,10 +110,7 @@ def cmd_coeffs(args) -> int:
     elif target.startswith("word:"):
         word = normalize_word(target[5:])
         table = solve_dobrushin(nu, order + 1)
-        if len(word) <= 2:
-            series = WordTable(nu, order, table).series(word)
-        else:
-            series = WordTable(nu, order, table).series(word)
+        series = WordTable(nu, order, table).series(word)
     elif target.startswith("zplus:"):
         p = int(target[6:])
         table = solve_dobrushin(nu, order + p)

@@ -6,25 +6,31 @@ edge and walking away from the root vertex, so the root edge joins w_p (root
 vertex) to w_1 (target).  Under this reading the mixed Dobrushin series
 S(x, y) = sum_{p,q >= 1} Z_{+^p -^q} x^p y^q (rooted on the interface edge)
 and the pure series Z+(x) = sum_p Z_{+^p} x^p close under peeling the root
-edge, which is the system iterated by `solve_dobrushin`.  The specializations
+edge, which is the system `solve_dobrushin` solves.  The specializations
 [y] S(x, y) and [x] S(x, y) enter exactly as resolved in CONVENTIONS.md: the
 system reproduces the brute-force oracle through every tested order.
+
+`solve_dobrushin` computes each t-layer once from the layers below it, over
+the integers (rational nu) or Z[sqrt7] (nu in Q(sqrt7)), and converts to
+exact scalars only when it builds the table.  The word table and the U series
+go through the generic `series.solve_fixed_point`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import Scalar, as_scalar, format_scalar
-from .maps import min_degree, oracle_Q
+from .exactnum import QuadExt, Scalar, _make, as_scalar, format_scalar
+from .maps import oracle_Q
 from .series import (
     BivSeries,
+    DegreeOverflow,
     FixedPointSpec,
     NotContractive,
     TSeries,
     solve_fixed_point,
-    tseries_from_biv,
 )
 
 
@@ -60,65 +66,119 @@ class DobrushinTable:
     def zplus_slice(self, p: int) -> TSeries:
         return self.zplus.extract_tseries(p, 0)
 
-    def zplus_in_y(self) -> BivSeries:
-        return self.zplus.swap_xy()
+
+def _integer_weight(nu: Scalar) -> tuple[tuple[int, int], int]:
+    """Write nu = (m_a + m_b sqrt7) / d with integers m_a, m_b and d > 0."""
+    a, b = (nu.a, nu.b) if isinstance(nu, QuadExt) else (nu, Fraction(0))
+    d = math.lcm(a.denominator, b.denominator)
+    return (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)), d
 
 
-def _dobrushin_update(nu: Scalar):
-    t = 1  # t-power shorthand for mul_monomial calls
+def _dobrushin_terms(M: list, Z: list, k: int, cap: int):
+    """The right-hand terms of t-layer k, read from layers 0..k-1.
 
-    def update(state: dict, order: int) -> dict:
-        M: BivSeries = state["mixed"]
-        Z: BivSeries = state["zplus"]
-        m1_of_y = M.coeff_of_x(1)                     # [x] S, a series in y
-        m1_of_x = M.coeff_of_y(1)                     # [y] S, a series in x
-        z_in_y = Z.swap_xy()
-        z1 = Z.coeff_of_x(1)                          # Z_+ as a plain t-series
+    With nu = m / d as in `_integer_weight`, layer a of M maps (i, j) to the
+    pair (u, v) standing for (u + v sqrt7) / d^a = [t^a x^i y^j] S(x, y);
+    layer a of Z maps i to the pair of [t^a x^i] Z+(x) likewise.  The
+    peeling equations are
 
-        xy = BivSeries.monomial(nu, order, M.dx, M.dy, 1, 1, 1)
-        new_m = (
-            xy
-            + (M * Z).mul_monomial(t, -1, 0)
-            + (M * z_in_y).mul_monomial(t, 0, -1)
-            + (M - m1_of_y.mul_monomial(0, 1, 0)).mul_monomial(t, -1, 0)
-            + (M - m1_of_x.mul_monomial(0, 0, 1)).mul_monomial(t, 0, -1)
-        )
+        S  = t x y + t S Z+(x) / x + t S Z+(y) / y
+               + t (S - x [x] S) / x + t (S - y [y] S) / y
+        Z+ = nu t x^2 + nu t Z+^2 / x + nu t (Z+ - x [x] Z+) / x + nu t [y] S
 
-        x2 = BivSeries.monomial(nu, order, Z.dx, Z.dy, 1, 2, 0, nu)
-        new_z = (
-            x2
-            + (Z * Z).mul_monomial(t, -1, 0, nu)
-            + (Z - z1.mul_monomial(0, 1, 0)).mul_monomial(t, -1, 0, nu)
-            + m1_of_x.mul_monomial(t, 0, 0, nu)
-        )
-        return {"mixed": new_m, "zplus": new_z}
+    and this yields (0, (i, j), u, v) for each contribution to [x^i y^j] S
+    and (1, i, u, v) for each one to [x^i] Z+, before the factor t or nu t.
+    Pre-division product degrees above `cap` raise DegreeOverflow.
+    """
+    if k == 1:
+        yield 0, (1, 1), 1, 0
+        yield 1, 2, 1, 0
+    for a in range(k):
+        Ma, Za, Zb = M[a], Z[a], Z[k - 1 - a]
+        if not Zb:
+            continue
+        if Ma and max(map(max, Ma)) + max(Zb) > cap or Za and max(Za) + max(Zb) > cap:
+            raise DegreeOverflow(f"a product at t^{k - 1} exceeds degree {cap}")
+        for l, (r, s) in Zb.items():
+            for (i, j), (p, q) in Ma.items():
+                u, v = p * r + 7 * q * s, p * s + q * r
+                yield 0, (i + l - 1, j), u, v          # S Z+(x) / x
+                yield 0, (i, j + l - 1), u, v          # S Z+(y) / y
+            for i, (p, q) in Za.items():
+                yield 1, i + l - 1, p * r + 7 * q * s, p * s + q * r
+    for (i, j), (p, q) in M[k - 1].items():
+        if i > 1:
+            yield 0, (i - 1, j), p, q
+        if j > 1:
+            yield 0, (i, j - 1), p, q
+        if j == 1:
+            yield 1, i, p, q
+    for i, (p, q) in Z[k - 1].items():
+        if i > 1:
+            yield 1, i - 1, p, q
 
-    return update
+
+def _dobrushin_layer(M: list, Z: list, k: int, m: tuple[int, int], d: int, cap: int):
+    """t-layer k of S and Z+, scaled by d^k where nu = m / d.
+
+    The factor t of every right-hand term becomes d and nu t becomes m, so
+    the scaled layer is an integer combination of the scaled layers below it
+    and no division ever happens.
+    """
+    acc: tuple[dict, dict] = ({}, {})
+    for which, key, u, v in _dobrushin_terms(M, Z, k, cap):
+        c = acc[which].get(key)
+        if c is None:
+            acc[which][key] = [u, v]
+        else:
+            c[0] += u
+            c[1] += v
+    mu, mv = m
+    new_m = {key: (d * u, d * v) for key, (u, v) in acc[0].items() if u or v}
+    new_z = {key: (mu * u + 7 * mv * v, mv * u + mu * v) for key, (u, v) in acc[1].items() if u or v}
+    return new_m, new_z
 
 
-def solve_dobrushin(nu: Scalar, order: int, caps: int | None = None) -> DobrushinTable:
-    """Solve the two-equation system to the given t-order.
+def _unscaled(layers: list, d: int):
+    """(k, key, exact scalar) for every entry, in sorted (k, key) order."""
+    scale = 1
+    for k, layer in enumerate(layers):
+        for key, (u, v) in sorted(layer.items()):
+            yield k, key, _make(Fraction(u, scale), Fraction(v, scale))
+        scale *= d
 
-    Catalytic degrees are capped at `caps` (default: the t-order, which the
-    Euler support bound makes unreachable, so DegreeOverflow only fires on a
-    transcription bug).
+
+def solve_dobrushin(nu: Scalar, order: int) -> DobrushinTable:
+    """Solve the two-equation system to the given t-order, layer by layer.
+
+    Every right-hand term carries a power of t, so t-layer k follows from the
+    layers below it: each coefficient is computed once, over Z (rational nu)
+    or Z[sqrt7] (nu in Q(sqrt7)) after scaling layer k by d^k, and converted
+    to an exact scalar at the end.  Catalytic degrees are capped at
+    max(order, (order + 7) / 2), which the Euler support bound makes
+    unreachable, so DegreeOverflow only fires on a transcription bug.  The
+    update is then applied once more to the complete table, unsolved layers
+    having started at zero, and NotContractive is raised if any layer moves.
     """
     nu = as_scalar(nu)
     if not nu > 0:
         raise ValueError("nu must be positive")
     if order < 1:
         raise ValueError("order must be >= 1")
-    # intermediate products reach x-degree (order + 6) / 2 before division
-    d = caps if caps is not None else max(order, (order + 7) // 2)
-    spec = FixedPointSpec(
-        zero={
-            "mixed": BivSeries.zero(nu, 0, d, d),
-            "zplus": BivSeries.zero(nu, 0, d, d),
-        },
-        update=_dobrushin_update(nu),
-    )
-    sol = solve_fixed_point(spec, order)
-    return DobrushinTable(nu, order, sol["mixed"], sol["zplus"])
+    cap = max(order, (order + 7) // 2)
+    m, d = _integer_weight(nu)
+    M: list[dict] = [{} for _ in range(order + 1)]
+    Z: list[dict] = [{} for _ in range(order + 1)]
+    for k in range(1, order + 1):
+        M[k], Z[k] = _dobrushin_layer(M, Z, k, m, d, cap)
+    for k in range(1, order + 1):
+        if _dobrushin_layer(M, Z, k, m, d, cap) != (M[k], Z[k]):
+            raise NotContractive(f"t-layer {k} failed to stabilize at order {order}")
+    mixed = BivSeries(nu, order, cap, cap)
+    mixed.coeffs = {(k, i, j): c for k, (i, j), c in _unscaled(M, d)}
+    zplus = BivSeries(nu, order, cap, cap)
+    zplus.coeffs = {(k, i, 0): c for k, i, c in _unscaled(Z, d)}
+    return DobrushinTable(nu, order, mixed, zplus)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +460,7 @@ class CatalyticReport:
         }
 
 
-def _v_normalized(table: DobrushinTable, order: int, dy: int, extra: dict | None = None) -> BivSeries:
+def _v_normalized(table: DobrushinTable, order: int, dy: int) -> BivSeries:
     """V(y) = sum_p t^p Z_{+^p} y^p from the solved pure-boundary slices."""
     v = BivSeries(table.nu, order, 0, dy)
     for (k, i, j), c in table.zplus.coeffs.items():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .exactnum import Interval, Scalar, as_scalar, format_scalar, scalar_to_float
 
@@ -29,10 +29,6 @@ class NotContractive(Exception):
 
 class ValuationError(ArithmeticError):
     """Division by a variable the series does not vanish in."""
-
-
-def _scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
 
 
 class TSeries:
@@ -167,14 +163,6 @@ class TSeries:
             if self.coeff(k) != other.coeff(k):
                 return k
         return None
-
-    def map_coeffs(self, f: Callable[[Scalar], Scalar]) -> "TSeries":
-        out = {}
-        for k, c in self.coeffs.items():
-            v = f(c)
-            if v:
-                out[k] = v
-        return TSeries(self.nu, self.order, out)
 
     def eval_interval(self, t: Interval, bits: int = 96) -> Interval:
         """Partial sum sum_{k<=order} c_k t^k as an interval (no tail)."""
@@ -348,9 +336,6 @@ class BivSeries:
         return TSeries(self.nu, self.order,
                        {k: c for (k, ii, jj), c in self.coeffs.items() if ii == i and jj == j})
 
-    def y_degrees(self) -> list[int]:
-        return sorted({j for (_, _, j) in self.coeffs})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivSeries):
             return NotImplemented
@@ -382,12 +367,6 @@ def tseries_from_biv(b: BivSeries) -> TSeries:
             raise ValueError("series still carries catalytic variables")
         out[k] = c
     return TSeries(b.nu, b.order, out)
-
-
-def biv_from_tseries(s: TSeries, dx: int, dy: int) -> BivSeries:
-    out = BivSeries(s.nu, s.order, dx, dy)
-    out.coeffs = {(k, 0, 0): c for k, c in s.coeffs.items()}
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,23 @@ def test_coeffs_json_and_rerun_bit_identical():
     assert series["coeffs"]["1"] == "2"
 
 
+@pytest.mark.parametrize("args, result_hash", [
+    (("--nu", "nu_c", "--target", "sphere", "--order", "25"),
+     "55227855a82321525aa2136470623266ec7b78171d11d15257e6b143bee30ee2"),
+    (("--nu", "1", "--target", "sphere", "--order", "39"),
+     "035ab93b7006477a912480859c8a8073a6eb060658fb7b1fbda6982db9b99112"),
+    (("--nu", "2", "--target", "zplus:6", "--order", "24"),
+     "968a905d4dac567a6bd61e10de094e96fcef63c0aaf4d5adbed335cc94e62d7c"),
+    (("--nu", "2", "--target", "word:++-", "--order", "15"),
+     "fd674630a790f45924a5b12a773b2953a18bd2c7548fa9936b722f2c5d41a364"),
+], ids=["sphere-nu_c-25", "sphere-1-39", "zplus6-2-24", "word-2-15"])
+def test_coeffs_output_hash_pinned(args, result_hash):
+    proc = run_cli("coeffs", *args)
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["manifest"]["output_hashes"]["result"] == result_hash
+
+
 def test_coeffs_csv():
     proc = run_cli("coeffs", "--nu", "1/2", "--target", "U", "--order", "9",
                    "--out", "csv")

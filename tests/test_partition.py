@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from isingtri import partition
 from isingtri.exactnum import NU_C
 from isingtri.maps import oracle_series, oracle_sphere
 from isingtri.partition import (
@@ -17,9 +18,51 @@ from isingtri.partition import (
     verify_catalytic,
     zplus_recursion,
 )
-from isingtri.series import NotContractive, TSeries
+from isingtri.series import (
+    BivSeries,
+    DegreeOverflow,
+    FixedPointSpec,
+    NotContractive,
+    TSeries,
+    solve_fixed_point,
+)
 
 NU = Fraction(3)
+
+
+def reference_update(nu, order, state):
+    """The two peeling equations transcribed term by term on BivSeries.
+
+        S  = t x y + t S Z+(x) / x + t S Z+(y) / y
+               + t (S - x [x] S) / x + t (S - y [y] S) / y
+        Z+ = nu t x^2 + nu t Z+^2 / x + nu t (Z+ - x [x] Z+) / x + nu t [y] S
+
+    `solve_dobrushin` must return a fixed point of this map.
+    """
+    t = 1  # t-power shorthand for mul_monomial calls
+    M, Z = state["mixed"], state["zplus"]
+    m1_of_y = M.coeff_of_x(1)                     # [x] S, a series in y
+    m1_of_x = M.coeff_of_y(1)                     # [y] S, a series in x
+    z_in_y = Z.swap_xy()
+    z1 = Z.coeff_of_x(1)                          # Z_+ as a plain t-series
+
+    xy = BivSeries.monomial(nu, order, M.dx, M.dy, 1, 1, 1)
+    new_m = (
+        xy
+        + (M * Z).mul_monomial(t, -1, 0)
+        + (M * z_in_y).mul_monomial(t, 0, -1)
+        + (M - m1_of_y.mul_monomial(0, 1, 0)).mul_monomial(t, -1, 0)
+        + (M - m1_of_x.mul_monomial(0, 0, 1)).mul_monomial(t, 0, -1)
+    )
+
+    x2 = BivSeries.monomial(nu, order, Z.dx, Z.dy, 1, 2, 0, nu)
+    new_z = (
+        x2
+        + (Z * Z).mul_monomial(t, -1, 0, nu)
+        + (Z - z1.mul_monomial(0, 1, 0)).mul_monomial(t, -1, 0, nu)
+        + m1_of_x.mul_monomial(t, 0, 0, nu)
+    )
+    return {"mixed": new_m, "zplus": new_z}
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +90,61 @@ def test_dobrushin_matches_oracle(table9):
         oracle_series("++-", NU, 9), 9)
     assert table9.mixed.extract_tseries(2, 2).with_order(9).eq_to_order(
         oracle_series("++--", NU, 9), 9)
+
+
+REFERENCE_NUS = pytest.mark.parametrize(
+    "nu", [Fraction(1, 2), Fraction(1), Fraction(3), NU_C], ids=["1/2", "1", "3", "nu_c"])
+
+
+@REFERENCE_NUS
+def test_dobrushin_is_fixed_point_of_reference(nu):
+    order = 14
+    table = solve_dobrushin(nu, order)
+    state = {"mixed": table.mixed, "zplus": table.zplus}
+    image = reference_update(nu, order, state)
+    for name, series in state.items():
+        assert series.order == order
+        assert image[name].coeffs == series.coeffs
+
+
+@REFERENCE_NUS
+def test_dobrushin_matches_reference_picard_solve(nu):
+    order = 10
+    d = max(order, (order + 7) // 2)
+    zero = {"mixed": BivSeries.zero(nu, 0, d, d), "zplus": BivSeries.zero(nu, 0, d, d)}
+    spec = FixedPointSpec(zero=zero, update=lambda state, work: reference_update(nu, work, state))
+    ref = solve_fixed_point(spec, order)
+    table = solve_dobrushin(nu, order)
+    for name, series in (("mixed", table.mixed), ("zplus", table.zplus)):
+        assert series == ref[name]
+        assert list(series.coeffs) == sorted(series.coeffs)
+        assert (series.dx, series.dy) == (ref[name].dx, ref[name].dy)
+
+
+def test_dobrushin_rejects_a_rule_without_its_power_of_t(monkeypatch):
+    layer = partition._dobrushin_layer
+
+    def reads_own_layer(M, Z, k, m, d, cap):
+        new_m, new_z = layer(M, Z, k, m, d, cap)
+        for key, (u, v) in M[k].items():
+            p, q = new_m.get(key, (0, 0))
+            new_m[key] = (p + u, q + v)
+        return new_m, new_z
+
+    monkeypatch.setattr(partition, "_dobrushin_layer", reads_own_layer)
+    with pytest.raises(NotContractive):
+        solve_dobrushin(NU, 6)
+
+
+def test_dobrushin_degree_guard():
+    m, d = partition._integer_weight(NU)
+    M = [{} for _ in range(8)]
+    Z = [{} for _ in range(8)]
+    for k in range(1, 4):
+        M[k], Z[k] = partition._dobrushin_layer(M, Z, k, m, d, 8)
+    # [t^3] needs the product of x^2 (t^1 of Z+) with x^1 y^1 (t^1 of S)
+    with pytest.raises(DegreeOverflow):
+        partition._dobrushin_layer(M, Z, 3, m, d, 2)
 
 
 def test_mixed_symmetry(table9):
