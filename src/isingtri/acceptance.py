@@ -143,7 +143,7 @@ def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
     runs = []
     ok = True
     for nu in (Fraction(1, 2), Fraction(2), NU_C):
-        results = check_q_identities(nu, 9)
+        results = check_q_identities(WordTable(nu, 9, solve_dobrushin(nu, 9)))
         for r in results:
             ok = ok and r.ok
         runs.append({"nu": format_scalar(nu),

@@ -163,10 +163,9 @@ def cmd_verify(args) -> int:
     order = args.order
     table = solve_dobrushin(nu, order + 2)
     rep = verify_catalytic(nu, order, table)
-    q_order = min(order, 9)
-    q_results = [r.to_json() for r in check_q_identities(nu, q_order)]
     oracle_order = min(order, 9)
     words = WordTable(nu, oracle_order, table)
+    q_results = [r.to_json() for r in check_q_identities(words)]
     oracle_ok = True
     import itertools as _it
     for p in (1, 2, 3):
@@ -294,7 +293,7 @@ def cmd_stats(args) -> int:
     for path in sorted(indir.glob("sample_*.json")):
         rec = json.loads(path.read_text())
         maps.append(CombMap.from_text(rec["map"]))
-    stats = collect_stats(maps, r_max=args.r_max, meta={"source": str(indir)})
+    stats = collect_stats(maps, r_max=args.r_max)
     result = stats.to_json()
     _emit(args, "stats", {"input_dir": args.input_dir, "r_max": args.r_max}, result, t0)
     return 0

@@ -19,9 +19,6 @@ class DivisionByZero(ZeroDivisionError):
     pass
 
 
-Rational = Fraction
-
-
 def _sign_fraction(x: Fraction) -> int:
     if x > 0:
         return 1
@@ -231,10 +228,6 @@ def scalar_cmp(a: Scalar, b: Scalar) -> int:
     return _sign_fraction(a - b)
 
 
-def scalar_is_rational(a: Scalar) -> bool:
-    return not isinstance(a, QuadExt)
-
-
 # ---------------------------------------------------------------------------
 # text grammar: "p/q" and "p/q + r/s*sqrt7"
 # ---------------------------------------------------------------------------
@@ -338,13 +331,6 @@ class Interval:
         x = Fraction(x) if not isinstance(x, Fraction) else x
         return self.lo <= x <= self.hi
 
-    def contains_scalar(self, s: Scalar) -> bool:
-        s = as_scalar(s)
-        if isinstance(s, QuadExt):
-            enc = scalar_to_float(s, 128)
-            return self.lo <= enc.lo and enc.hi <= self.hi
-        return self.contains(s)
-
     def __add__(self, other) -> "Interval":
         other = _as_interval(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -400,12 +386,6 @@ class Interval:
         lo = Fraction(math.floor(self.lo * scale), scale)
         hi = Fraction(math.ceil(self.hi * scale), scale)
         return Interval(lo, hi)
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def strictly_below(self, x) -> bool:
-        return self.hi < Fraction(x)
 
     def min(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
@@ -473,10 +453,6 @@ def cbrt_interval(x: Interval, bits: int) -> Interval:
         return hi if round_up else lo
 
     return Interval(cbrt_fraction(x.lo, False), cbrt_fraction(x.hi, True))
-
-
-def scalar_interval(s: Scalar, bits: int = 96) -> Interval:
-    return scalar_to_float(s, bits)
 
 
 # frequently used exact constants

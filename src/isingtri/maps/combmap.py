@@ -246,18 +246,6 @@ class CombMap:
             key = key + (tuple(spin_by_new_dart),)
         return key
 
-    def relabeled_canonical(self) -> "CombMap":
-        key = self.canonical_key()
-        if self.spins is None:
-            return CombMap(key[0], key[1], 0)
-        alpha, sigma, spin_by_dart = key
-        m = CombMap(alpha, sigma, 0)
-        vo = m.vertex_of()
-        spins = [0] * m.n_vertices()
-        for d in range(m.n_darts):
-            spins[vo[d]] = spin_by_dart[d]
-        return CombMap(alpha, sigma, 0, tuple(spins))
-
     # -- text format ------------------------------------------------------------
 
     def to_text(self) -> str:

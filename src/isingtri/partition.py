@@ -10,10 +10,10 @@ edge, which is the system `solve_dobrushin` solves.  The specializations
 [y] S(x, y) and [x] S(x, y) enter exactly as resolved in CONVENTIONS.md: the
 system reproduces the brute-force oracle through every tested order.
 
-`solve_dobrushin` computes each t-layer once from the layers below it, over
-the integers (rational nu) or Z[sqrt7] (nu in Q(sqrt7)), and converts to
-exact scalars only when it builds the table.  The word table and the U series
-go through the generic `series.solve_fixed_point`.
+`solve_dobrushin` and `WordTable` compute each t-layer once from the layers
+below it, over the integers (rational nu) or Z[sqrt7] (nu in Q(sqrt7)), and
+convert to exact scalars only when they build their tables.  Only the U
+series goes through the generic `series.solve_fixed_point`.
 """
 
 from __future__ import annotations
@@ -202,14 +202,72 @@ def _word_refs(word: str, p_max: int) -> list:
     return mono, inserted, splits
 
 
+def _scaled(series: TSeries, d: int) -> dict[int, tuple[int, int]]:
+    """k -> (u, v) with (u + v sqrt7) / d^k = [t^k] series, in increasing k."""
+    out = {}
+    for k, c in sorted(series.coeffs.items()):
+        a, b = (c.a, c.b) if isinstance(c, QuadExt) else (c, Fraction(0))
+        a, b = a * d ** k, b * d ** k
+        if a.denominator != 1 or b.denominator != 1:
+            raise ValueError(f"[t^{k}] is not an integer over d^{k}")
+        out[k] = (a.numerator, b.numerator)
+    return out
+
+
+def _word_layer(rules: list, k: int, m: tuple[int, int], d: int) -> dict:
+    """t-layer k of every unknown word, scaled by d^k where nu = m / d.
+
+    Each rule is (word, mono, inserted, splits), the root-edge deletion
+    identity Z_w = weight t (sum_c Z_{c+w} + sum_i Z_{w[:i]} Z_{w[i-1:]})
+    with every reference resolved to the k -> (u, v) layers of that word,
+    whose keys run in increasing k.  Only layers 0..k-1 are read; the factor weight t becomes m (monochromatic
+    root edge) or d, so the scaled layer is an integer combination of the
+    scaled layers below it.
+    """
+    mu, mv = m
+    j = k - 1
+    out = {}
+    for word, mono, inserted, splits in rules:
+        u = v = 0
+        for ref in inserted:
+            c = ref.get(j)
+            if c:
+                u += c[0]
+                v += c[1]
+        for left, right in splits:
+            for a, (p, q) in left.items():
+                if a > j:
+                    break
+                c = right.get(j - a)
+                if c:
+                    r, s = c
+                    u += p * r + 7 * q * s
+                    v += p * s + q * r
+        if u or v:
+            out[word] = (mu * u + 7 * mv * v, mv * u + mu * v) if mono else (d * u, d * v)
+    return out
+
+
+_FLIP = str.maketrans("+-", "-+")
+
+
 class WordTable:
-    """Demand-populated table of boundary-word series at one (nu, order)."""
+    """Demand-populated table of boundary-word series at one (nu, order).
+
+    Words of length 1 and 2 are seeded from a Dobrushin table.  Asking for a
+    longer word solves the closure of words its root-edge deletion identity
+    reaches (up to `p_max`, past which they cannot contribute below the
+    order), t-layer by t-layer over Z or Z[sqrt7] like `solve_dobrushin`.
+    Words and their spin flips share one entry.
+    """
 
     def __init__(self, nu: Scalar, order: int, dobrushin: DobrushinTable | None = None):
         self.nu = as_scalar(nu)
         self.order = order
         self.p_max = max(2, (order + 3) // 2)
         self.entries: dict[str, TSeries] = {}
+        self._m, self._d = _integer_weight(self.nu)
+        self._layers: dict[str, dict] = {}   # entries as scaled integer layers
         if dobrushin is not None:
             self.seed_from(dobrushin)
 
@@ -220,10 +278,11 @@ class WordTable:
         z2 = table.z_plusplus.with_order(self.order)
         zpm = table.z_plusminus.with_order(self.order)
         self.entries.update({"+": z1, "-": z1, "++": z2, "--": z2, "+-": zpm, "-+": zpm})
+        for word, series in self.entries.items():
+            self._layers[word] = _scaled(series, self._d)
 
     def _key(self, word: str) -> str:
-        flipped = word.translate(str.maketrans("+-", "-+"))
-        return min(word, flipped)
+        return min(word, word.translate(_FLIP))
 
     def series(self, word: str) -> TSeries:
         if len(word) <= 2:
@@ -258,43 +317,43 @@ class WordTable:
         return out
 
     def _solve_closure(self, word: str) -> None:
+        """Solve the closure of `word` layer by layer, then check stability.
+
+        Every right-hand term carries one power of t, so layer k of each
+        unknown follows from layers below k and each is computed once.  The
+        layer rule is then applied once more to the complete table, and
+        NotContractive is raised if any layer moves.
+        """
         unknowns = self._closure(word)
         if not unknowns:
             return
-        nu = self.nu
-        refs = {w: _word_refs(w, self.p_max) for w in unknowns}
-        known = self.entries
-        unknown_set = set(unknowns)
+        order, m, d = self.order, self._m, self._d
+        layers = {w: {} for w in unknowns}
 
-        def update(state: dict, order: int) -> dict:
-            def lookup(w: str | None) -> TSeries:
-                if w is None:
-                    return TSeries.zero(nu, order)
-                k = self._key(w)
-                if k in unknown_set:
-                    return state[k]
-                if len(k) > self.p_max:
-                    return TSeries.zero(nu, order)
-                entry = known.get(k)
-                if entry is None:
-                    raise SeedMissing(f"word {k} missing: seed the table from solve_dobrushin")
-                return entry.with_order(order)
+        def ref(w: str) -> dict:
+            k = self._key(w)
+            found = layers.get(k, self._layers.get(k))
+            if found is None:
+                raise SeedMissing(f"word {k} missing: seed the table from solve_dobrushin")
+            return found
 
-            out = {}
-            for w in unknowns:
-                mono, inserted, splits = refs[w]
-                weight = nu if mono else Fraction(1)
-                total = TSeries.zero(nu, order)
-                for ref in inserted:
-                    total = total + lookup(ref)
-                for a, b in splits:
-                    total = total + lookup(a) * lookup(b)
-                out[w] = total.shift(1).scale(weight)
-            return out
-
-        zero = {w: TSeries.zero(nu, 0) for w in unknowns}
-        sol = solve_fixed_point(FixedPointSpec(zero=zero, update=update), self.order)
-        self.entries.update(sol)
+        rules = []
+        for w in unknowns:
+            mono, inserted, splits = _word_refs(w, self.p_max)
+            rules.append((w, mono, [ref(c) for c in inserted if c is not None],
+                          [(ref(a), ref(b)) for a, b in splits]))
+        for k in range(1, order + 1):
+            for w, c in _word_layer(rules, k, m, d).items():
+                layers[w][k] = c
+        for k in range(1, order + 1):
+            if _word_layer(rules, k, m, d) != {w: layers[w][k] for w in unknowns if k in layers[w]}:
+                raise NotContractive(f"t-layer {k} failed to stabilize at order {order}")
+        self._layers.update(layers)
+        scale = [d ** k for k in range(order + 1)]
+        for w in unknowns:
+            self.entries[w] = TSeries(self.nu, order, {
+                k: _make(Fraction(u, scale[k]), Fraction(v, scale[k]))
+                for k, (u, v) in layers[w].items()})
 
 
 def solve_word(omega: str, nu: Scalar, order: int, table: WordTable) -> TSeries:
@@ -538,7 +597,7 @@ class IdentityResult:
                 "first_fail": self.first_fail}
 
 
-def check_q_identities(nu: Scalar, order: int, oracle_cap: int = 9) -> list[IdentityResult]:
+def check_q_identities(words: WordTable) -> list[IdentityResult]:
     """Cross-check the engine Z-series against brute-force Q-series.
 
     Q3 - Q1 Q2 removes exactly the maps whose root edge is a boundary loop;
@@ -548,14 +607,16 @@ def check_q_identities(nu: Scalar, order: int, oracle_cap: int = 9) -> list[Iden
     quoted, fails at the first order with a pinched non-root boundary; the
     corrected form is the one consistent with the Z_++ formula below, which
     holds verbatim.)
+
+    Checks through the order of the caller's seeded word table, whose
+    length-1/2 entries are the Dobrushin slices.  The brute-force Q-series
+    grow fast with the order: callers keep it at 9 or below.
     """
-    nu = as_scalar(nu)
-    n = min(order, oracle_cap)
+    nu, n = words.nu, words.order
     q1 = oracle_Q(1, nu, n)
     q2 = oracle_Q(2, nu, n)
     q3 = oracle_Q(3, nu, n)
-    table = solve_dobrushin(nu, n)
-    words = WordTable(nu, n, table)
+    z_p, z_pp, z_pm = words.series("+"), words.series("++"), words.series("+-")
     z_ppp = words.series("+++")
     z_ppm = words.series("++-")
 
@@ -566,10 +627,8 @@ def check_q_identities(nu: Scalar, order: int, oracle_cap: int = 9) -> list[Iden
         results.append(IdentityResult(name, fail is None, n, fail))
 
     record("Q1 = nu t Q2", q1, q2.shift(1).scale(nu))
-    record("Q1 = Z_+", q1, table.z_plus.with_order(n))
-    record("Z_++ + Z_+- = Q2 - Q1^2",
-           table.z_plusplus.with_order(n) + table.z_plusminus.with_order(n),
-           q2 - q1 * q1)
+    record("Q1 = Z_+", q1, z_p)
+    record("Z_++ + Z_+- = Q2 - Q1^2", z_pp + z_pm, q2 - q1 * q1)
     record("Z_+++ + 3 Z_++- = Q3 - Q1 Q2 - 2 Q1 (Q2 - Q1^2)",
            z_ppp + z_ppm.scale(Fraction(3)),
            q3 - q1 * q2 - (q1 * (q2 - q1 * q1)).scale(Fraction(2)))
@@ -581,5 +640,5 @@ def check_q_identities(nu: Scalar, order: int, oracle_cap: int = 9) -> list[Iden
             - q1.shift(-1).scale(inv_1mn)
             - q1 * q1
         )
-        record("Z_++ in Q1, Q3", table.z_plusplus.with_order(n), rhs)
+        record("Z_++ in Q1, Q3", z_pp, rhs)
     return results

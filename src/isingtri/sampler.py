@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .criticality import CriticalData, eval_series_interval
 from .exactnum import Interval, Scalar, as_scalar, format_scalar, scalar_to_float
-from .maps.combmap import CombMap, spins_to_word, word_to_spins
+from .maps.combmap import CombMap, normalize_word, spins_to_word, word_to_spins
 from .partition import DobrushinTable, WordTable, solve_dobrushin
 
 RNG_ALGORITHM = "python-mt19937/sha256-derived-streams"
@@ -317,13 +317,9 @@ def _build_from_tree(root: _Node, word: str) -> _Piece:
             for ch, cw in zip(node.children, _child_words(w, node.case)):
                 stack.append((ch, cw, False))
     piece = done[id(root)]
-    if VALIDATE_BUILDS and piece.word() != w0_normalize(word):
+    if VALIDATE_BUILDS and piece.word() != normalize_word(word):
         raise AssertionError("reconstructed boundary word mismatch")
     return piece
-
-
-def w0_normalize(word: str) -> str:
-    return spins_to_word(word_to_spins(word))
 
 
 # ---------------------------------------------------------------------------

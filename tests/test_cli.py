@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -72,12 +73,39 @@ def test_coeffs_json_and_rerun_bit_identical():
      "968a905d4dac567a6bd61e10de094e96fcef63c0aaf4d5adbed335cc94e62d7c"),
     (("--nu", "2", "--target", "word:++-", "--order", "15"),
      "fd674630a790f45924a5b12a773b2953a18bd2c7548fa9936b722f2c5d41a364"),
-], ids=["sphere-nu_c-25", "sphere-1-39", "zplus6-2-24", "word-2-15"])
+    (("--nu", "nu_c", "--target", "word:+-+-", "--order", "14"),
+     "61ca5584daf442800bf5ee549ac214720b1bbdfefa692e8cbd7790ff60261050"),
+], ids=["sphere-nu_c-25", "sphere-1-39", "zplus6-2-24", "word-2-15", "word-nu_c-14"])
 def test_coeffs_output_hash_pinned(args, result_hash):
     proc = run_cli("coeffs", *args)
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["manifest"]["output_hashes"]["result"] == result_hash
+
+
+def test_sample_exact_output_hash_pinned():
+    proc = run_cli("sample", "exact", "--nu", "2", "--n", "5", "--reps", "20", "--seed", "7")
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert (out["manifest"]["output_hashes"]["result"]
+            == "665b97410e3e92aa77005314fcb9d39a8d105a39470801a5e610f7b207dc9a8e")
+
+
+def test_stats_hash_independent_of_input_path(tmp_path):
+    first = tmp_path / "first"
+    proc = run_cli("sample", "exact", "--nu", "2", "--n", "1", "--seed", "3",
+                   "--reps", "4", "--out", str(first))
+    assert proc.returncode == 0
+    second = tmp_path / "elsewhere" / "second"
+    shutil.copytree(first, second)
+    hashes = []
+    for indir in (first, second):
+        proc = run_cli("stats", "--in", str(indir))
+        assert proc.returncode == 0
+        out = json.loads(proc.stdout)
+        assert out["result"]["count"] == 4
+        hashes.append(out["manifest"]["output_hashes"]["result"])
+    assert hashes[0] == hashes[1]
 
 
 def test_coeffs_csv():

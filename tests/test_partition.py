@@ -168,6 +168,102 @@ def test_solve_word_flip_and_pruning(table9):
     assert words.series("+" * 9).is_zero()
 
 
+def reference_word_update(words, unknowns):
+    """The root-edge deletion identity transcribed on TSeries, word by word.
+
+        Z_w = weight t (sum_c Z_{c+w} + sum_i Z_{w[:i]} Z_{w[i-1:]})
+
+    with weight nu for a monochromatic root edge (w[0] == w[-1]) and 1
+    otherwise.  `words` supplies the seeds, p_max and the spin-flip key;
+    `unknowns` is the closure being solved.  The word table must return the
+    fixed point of this map.
+    """
+    nu, p_max = words.nu, words.p_max
+    refs = {w: partition._word_refs(w, p_max) for w in unknowns}
+    unknown_set = set(unknowns)
+
+    def update(state, order):
+        def lookup(w):
+            if w is None:
+                return TSeries.zero(nu, order)
+            k = words._key(w)
+            if k in unknown_set:
+                return state[k]
+            if len(k) > p_max:
+                return TSeries.zero(nu, order)
+            return words.entries[k].with_order(order)
+
+        out = {}
+        for w in unknowns:
+            mono, inserted, splits = refs[w]
+            weight = nu if mono else Fraction(1)
+            total = TSeries.zero(nu, order)
+            for ref in inserted:
+                total = total + lookup(ref)
+            for a, b in splits:
+                total = total + lookup(a) * lookup(b)
+            out[w] = total.shift(1).scale(weight)
+        return out
+
+    return update
+
+
+WORD_NUS = pytest.mark.parametrize(
+    "nu", [Fraction(1, 2), Fraction(2), Fraction(3), NU_C], ids=["1/2", "2", "3", "nu_c"])
+
+
+@WORD_NUS
+@pytest.mark.parametrize("order", [4, 9, 12])
+def test_word_table_matches_reference_picard_solve(nu, order):
+    dobrushin = solve_dobrushin(nu, order)
+    seeded = WordTable(nu, order, dobrushin)
+    unknowns = seeded._closure("+++")
+    zero = {w: TSeries.zero(nu, 0) for w in unknowns}
+    ref = solve_fixed_point(FixedPointSpec(zero, reference_word_update(seeded, unknowns)), order)
+    words = WordTable(nu, order, dobrushin)
+    words.series(unknowns[-1])        # a second closure then reads this one's layers
+    words.series("+++")
+    assert set(words.entries) == set(unknowns) | set(seeded.entries)
+    for w in unknowns:
+        assert words.entries[w].order == order
+        assert words.entries[w].coeffs == ref[w].coeffs
+
+
+def test_word_table_does_not_use_picard(monkeypatch):
+    def refuse(spec, order):
+        raise AssertionError("the word table must not run the Picard solver")
+
+    monkeypatch.setattr(partition, "solve_fixed_point", refuse)
+    words = WordTable(NU, 9, solve_dobrushin(NU, 9))
+    assert words.series("++-+").coeff(5) > 0
+
+
+def test_word_table_rejects_a_rule_without_its_power_of_t(monkeypatch):
+    layer = partition._word_layer
+
+    def reads_own_layer(rules, k, m, d):
+        out = layer(rules, k, m, d)
+        for word, _mono, _inserted, splits in rules:
+            own = splits[0][1]            # the split (w[:1], w) reads w itself
+            c = own.get(k)
+            if c:
+                u, v = out.get(word, (0, 0))
+                out[word] = (u + c[0], v + c[1])
+        return out
+
+    monkeypatch.setattr(partition, "_word_layer", reads_own_layer)
+    with pytest.raises(NotContractive):
+        WordTable(NU, 9, solve_dobrushin(NU, 9)).series("+++")
+
+
+def test_word_table_rejects_a_seed_off_the_integer_lattice():
+    # with nu = 3 = 3/1, every [t^k] of a genuine seed is an integer
+    table = solve_dobrushin(NU, 6)
+    table.z_plus = table.z_plus + TSeries.monomial(NU, table.order, 5, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        WordTable(NU, 6, table)
+
+
 def test_seed_missing():
     bare = WordTable(NU, 6)
     with pytest.raises(SeedMissing):
@@ -244,7 +340,7 @@ def test_verify_catalytic_detects_corruption():
 
 def test_q_identities_pass():
     for nu in (Fraction(1, 2), Fraction(2)):
-        results = check_q_identities(nu, 9)
+        results = check_q_identities(WordTable(nu, 9, solve_dobrushin(nu, 9)))
         assert all(r.ok for r in results), [r.to_json() for r in results]
         assert len(results) == 5
 
