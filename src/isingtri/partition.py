@@ -10,10 +10,14 @@ edge, which is the system `solve_dobrushin` solves.  The specializations
 [y] S(x, y) and [x] S(x, y) enter exactly as resolved in CONVENTIONS.md: the
 system reproduces the brute-force oracle through every tested order.
 
-`solve_dobrushin` and `WordTable` compute each t-layer once from the layers
-below it, over the integers (rational nu) or Z[sqrt7] (nu in Q(sqrt7)), and
-convert to exact scalars only when they build their tables.  Only the U
-series goes through the generic `series.solve_fixed_point`.
+`solve_dobrushin` computes each t-layer once from the layers below it, over
+the integers (rational nu) or Z[sqrt7] (nu in Q(sqrt7)).  `WordTable`
+computes each (word, size) state once, on demand, over the same rings, from
+the smaller states the root-edge peeling identity reads; a p-gon has at
+least 2p - 3 edges, so states below that size budget are zero and never
+computed.  Both convert to exact scalars only at the end.  `peeling_cases` is
+the one list of peeling cases, read by the word table and by both samplers.
+Only the U series goes through the generic `series.solve_fixed_point`.
 """
 
 from __future__ import annotations
@@ -185,21 +189,21 @@ def solve_dobrushin(nu: Scalar, order: int) -> DobrushinTable:
 # arbitrary boundary words via root-edge deletion
 # ---------------------------------------------------------------------------
 
-def _word_refs(word: str, p_max: int) -> list:
-    """Right-hand-side structure of the root-edge deletion identity.
+def peeling_cases(word: str) -> list[tuple[tuple, tuple[str, ...]]]:
+    """The root-edge peeling cases of `word`, each with its child words.
 
-    Returns (monochromatic_root, inserted_words, split_pairs): inserted words
-    longer than p_max are pruned (they cannot contribute below the working
-    order), encoded as None.
+    In this order: ("edge",) for the bare edge (p = 2 only, no child), then
+    ("insert", c) for a new third vertex of spin c (child c + word), then
+    ("split", i) for the third vertex at boundary corner i = 1..p (children
+    word[:i] and word[i-1:]).  Every case carries one power of t and the
+    root-edge weight, nu for a monochromatic root edge (w_1 = w_p) and 1
+    otherwise.  The word table and both samplers read this one list.
     """
     p = len(word)
-    mono = word[0] == word[-1]
-    inserted = []
-    for c in "+-":
-        w = c + word
-        inserted.append(w if len(w) <= p_max else None)
-    splits = [(word[:i], word[i - 1:]) for i in range(1, p + 1)]
-    return mono, inserted, splits
+    cases: list[tuple[tuple, tuple[str, ...]]] = [(("edge",), ())] if p == 2 else []
+    cases += [(("insert", c), (c + word,)) for c in "+-"]
+    cases += [(("split", i), (word[:i], word[i - 1:])) for i in range(1, p + 1)]
+    return cases
 
 
 def _scaled(series: TSeries, d: int) -> dict[int, tuple[int, int]]:
@@ -214,60 +218,35 @@ def _scaled(series: TSeries, d: int) -> dict[int, tuple[int, int]]:
     return out
 
 
-def _word_layer(rules: list, k: int, m: tuple[int, int], d: int) -> dict:
-    """t-layer k of every unknown word, scaled by d^k where nu = m / d.
-
-    Each rule is (word, mono, inserted, splits), the root-edge deletion
-    identity Z_w = weight t (sum_c Z_{c+w} + sum_i Z_{w[:i]} Z_{w[i-1:]})
-    with every reference resolved to the k -> (u, v) layers of that word,
-    whose keys run in increasing k.  Only layers 0..k-1 are read; the factor weight t becomes m (monochromatic
-    root edge) or d, so the scaled layer is an integer combination of the
-    scaled layers below it.
-    """
-    mu, mv = m
-    j = k - 1
-    out = {}
-    for word, mono, inserted, splits in rules:
-        u = v = 0
-        for ref in inserted:
-            c = ref.get(j)
-            if c:
-                u += c[0]
-                v += c[1]
-        for left, right in splits:
-            for a, (p, q) in left.items():
-                if a > j:
-                    break
-                c = right.get(j - a)
-                if c:
-                    r, s = c
-                    u += p * r + 7 * q * s
-                    v += p * s + q * r
-        if u or v:
-            out[word] = (mu * u + 7 * mv * v, mv * u + mu * v) if mono else (d * u, d * v)
-    return out
-
-
 _FLIP = str.maketrans("+-", "-+")
 
 
 class WordTable:
-    """Demand-populated table of boundary-word series at one (nu, order).
+    """Boundary-word series at one (nu, order), computed state by state.
 
-    Words of length 1 and 2 are seeded from a Dobrushin table.  Asking for a
-    longer word solves the closure of words its root-edge deletion identity
-    reaches (up to `p_max`, past which they cannot contribute below the
-    order), t-layer by t-layer over Z or Z[sqrt7] like `solve_dobrushin`.
-    Words and their spin flips share one entry.
+    Words of length 1 and 2 are seeded from a Dobrushin table.  For a longer
+    word w, the state c(w, n) = d^n [t^n] Z_w, with nu = m / d, is an integer
+    (or a pair u, v standing for u + v sqrt7) given by the root-edge peeling
+    identity over `peeling_cases`,
+
+        Z_w = weight t (sum_c Z_{c+w} + sum_i Z_{w[:i]} Z_{w[i-1:]}),
+
+    from states of size below n only; each state is computed once, on demand.
+    A p-gon has at least 2p - 3 edges, so c(w, n) = 0 for n < 2p - 3: this
+    size budget bounds the states one coefficient reaches.  Words and their
+    spin flips share one state.  `coeff` reads one state; `series` assembles
+    t^0..t^order into `entries`.
     """
 
     def __init__(self, nu: Scalar, order: int, dobrushin: DobrushinTable | None = None):
         self.nu = as_scalar(nu)
         self.order = order
-        self.p_max = max(2, (order + 3) // 2)
+        self.p_max = max(2, (order + 3) // 2)    # longer words vanish below the order
         self.entries: dict[str, TSeries] = {}
         self._m, self._d = _integer_weight(self.nu)
-        self._layers: dict[str, dict] = {}   # entries as scaled integer layers
+        self._seeds: dict[str, dict] = {}        # seed series as scaled integer layers
+        self._states: dict[tuple[str, int], tuple[int, int] | None] = {}
+        self._coeffs: dict[tuple[str, int], Scalar] = {}   # coeff() results, by word
         if dobrushin is not None:
             self.seed_from(dobrushin)
 
@@ -278,8 +257,8 @@ class WordTable:
         z2 = table.z_plusplus.with_order(self.order)
         zpm = table.z_plusminus.with_order(self.order)
         self.entries.update({"+": z1, "-": z1, "++": z2, "--": z2, "+-": zpm, "-+": zpm})
-        for word, series in self.entries.items():
-            self._layers[word] = _scaled(series, self._d)
+        for word in ("+", "++", "+-"):
+            self._seeds[word] = _scaled(self.entries[word], self._d)
 
     def _key(self, word: str) -> str:
         return min(word, word.translate(_FLIP))
@@ -294,66 +273,65 @@ class WordTable:
             return TSeries.zero(self.nu, self.order)
         key = self._key(word)
         if key not in self.entries:
-            self._solve_closure(key)
+            self.entries[key] = TSeries(self.nu, self.order,
+                                        {n: self.coeff(key, n) for n in range(self.order + 1)})
         return self.entries[key]
 
-    def _closure(self, word: str) -> list[str]:
-        todo = [word]
-        out: list[str] = []
-        seen = set()
-        while todo:
-            w = todo.pop()
-            if w in seen or w in self.entries or len(w) > self.p_max or len(w) <= 2:
-                continue
-            seen.add(w)
-            out.append(w)
-            _, inserted, splits = _word_refs(w, self.p_max)
-            for ref in inserted:
-                if ref is not None:
-                    todo.append(self._key(ref))
-            for a, b in splits:
-                todo.append(self._key(a))
-                todo.append(self._key(b))
-        return out
+    def coeff(self, word: str, n: int) -> Scalar:
+        """[t^n] Z_word, for n <= order."""
+        c = self._coeffs.get((word, n))
+        if c is None:
+            if not self._seeds:
+                raise SeedMissing("length-1/2 words must be seeded from solve_dobrushin")
+            if n > self.order:
+                raise ValueError(f"t^{n} is beyond the table order {self.order}")
+            u, v = self._state(word, n)
+            scale = self._d ** n
+            c = self._coeffs[word, n] = _make(Fraction(u, scale), Fraction(v, scale))
+        return c
 
-    def _solve_closure(self, word: str) -> None:
-        """Solve the closure of `word` layer by layer, then check stability.
+    def _state(self, word: str, n: int) -> tuple[int, int]:
+        """c(word, n) = d^n [t^n] Z_word as the pair (u, v) of u + v sqrt7."""
+        if n < 2 * len(word) - 3:
+            return 0, 0
+        key = self._key(word)
+        if len(key) <= 2:
+            return self._seeds[key].get(n, (0, 0))
+        state = (key, n)
+        c = self._states.get(state)
+        if c is None:
+            if state in self._states:
+                raise NotContractive(f"state ({key}, t^{n}) is read while it is computed")
+            self._states[state] = None          # open: reading it now is a cycle
+            c = self._states[state] = self._rule(key, n)
+        return c
 
-        Every right-hand term carries one power of t, so layer k of each
-        unknown follows from layers below k and each is computed once.  The
-        layer rule is then applied once more to the complete table, and
-        NotContractive is raised if any layer moves.
+    def _rule(self, word: str, n: int) -> tuple[int, int]:
+        """c(word, n) by the peeling identity, for |word| >= 3.
+
+        Every case reads its children at total size n - 1, and the factor
+        weight t becomes m (monochromatic root edge) or d, so the state is an
+        integer combination of smaller states and nothing divides.
         """
-        unknowns = self._closure(word)
-        if not unknowns:
-            return
-        order, m, d = self.order, self._m, self._d
-        layers = {w: {} for w in unknowns}
-
-        def ref(w: str) -> dict:
-            k = self._key(w)
-            found = layers.get(k, self._layers.get(k))
-            if found is None:
-                raise SeedMissing(f"word {k} missing: seed the table from solve_dobrushin")
-            return found
-
-        rules = []
-        for w in unknowns:
-            mono, inserted, splits = _word_refs(w, self.p_max)
-            rules.append((w, mono, [ref(c) for c in inserted if c is not None],
-                          [(ref(a), ref(b)) for a, b in splits]))
-        for k in range(1, order + 1):
-            for w, c in _word_layer(rules, k, m, d).items():
-                layers[w][k] = c
-        for k in range(1, order + 1):
-            if _word_layer(rules, k, m, d) != {w: layers[w][k] for w in unknowns if k in layers[w]}:
-                raise NotContractive(f"t-layer {k} failed to stabilize at order {order}")
-        self._layers.update(layers)
-        scale = [d ** k for k in range(order + 1)]
-        for w in unknowns:
-            self.entries[w] = TSeries(self.nu, order, {
-                k: _make(Fraction(u, scale[k]), Fraction(v, scale[k]))
-                for k, (u, v) in layers[w].items()})
+        state = self._state
+        u = v = 0
+        for case, children in peeling_cases(word):
+            if case[0] == "insert":
+                p, q = state(children[0], n - 1)
+                u += p
+                v += q
+                continue
+            left, right = children
+            for a in range(n):
+                p, q = state(left, a)
+                if p or q:
+                    r, s = state(right, n - 1 - a)
+                    u += p * r + 7 * q * s
+                    v += p * s + q * r
+        if word[0] != word[-1]:
+            return self._d * u, self._d * v
+        mu, mv = self._m
+        return mu * u + 7 * mv * v, mv * u + mu * v
 
 
 def solve_word(omega: str, nu: Scalar, order: int, table: WordTable) -> TSeries:

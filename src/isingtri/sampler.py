@@ -14,19 +14,16 @@ sample records its seed; replicas derive independent streams by hashing.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .criticality import CriticalData, eval_series_interval
-from .exactnum import Interval, Scalar, as_scalar, format_scalar, scalar_to_float
-from .maps.combmap import CombMap, normalize_word, spins_to_word, word_to_spins
-from .partition import DobrushinTable, WordTable, solve_dobrushin
+from .criticality import eval_series_interval
+from .exactnum import Interval, Scalar, as_scalar, scalar_to_float
+from .maps.combmap import CombMap, InvalidMap, normalize_word, spins_to_word, word_to_spins
+from .partition import WordTable, peeling_cases, solve_dobrushin
 
 RNG_ALGORITHM = "python-mt19937/sha256-derived-streams"
-
-VALIDATE_BUILDS = True
 
 
 class CoefficientsMissing(ValueError):
@@ -203,9 +200,7 @@ def _attach_split(left: _Piece, right: _Piece) -> _Piece:
 
 
 def _finish(piece: _Piece) -> _Piece:
-    if VALIDATE_BUILDS:
-        m = piece.to_map()
-        m.validate("pgon", len(piece.root_face_cycle()))
+    piece.to_map().validate("pgon", len(piece.root_face_cycle()))
     return piece
 
 
@@ -275,28 +270,6 @@ class _Node:
     children: list
 
 
-def _case_structure(word: str) -> list[tuple]:
-    """All peeling cases of a word: ('edge',), ('insert', c), ('split', i)."""
-    p = len(word)
-    cases: list[tuple] = []
-    if p == 2:
-        cases.append(("edge",))
-    for c in "+-":
-        cases.append(("insert", c))
-    for i in range(1, p + 1):
-        cases.append(("split", i))
-    return cases
-
-
-def _child_words(word: str, case: tuple) -> list[str]:
-    if case[0] == "edge":
-        return []
-    if case[0] == "insert":
-        return [case[1] + word]
-    i = case[1]
-    return [word[:i], word[i - 1:]]
-
-
 def _build_from_tree(root: _Node, word: str) -> _Piece:
     # iterative post-order construction
     done: dict[int, _Piece] = {}
@@ -314,10 +287,10 @@ def _build_from_tree(root: _Node, word: str) -> _Piece:
                 done[id(node)] = _attach_split(kids[0], kids[1])
         else:
             stack.append((node, w, True))
-            for ch, cw in zip(node.children, _child_words(w, node.case)):
+            for ch, cw in zip(node.children, dict(peeling_cases(w))[node.case]):
                 stack.append((ch, cw, False))
     piece = done[id(root)]
-    if VALIDATE_BUILDS and piece.word() != normalize_word(word):
+    if piece.word() != normalize_word(word):
         raise AssertionError("reconstructed boundary word mismatch")
     return piece
 
@@ -332,55 +305,50 @@ class ExactSamplerContext:
     def __init__(self, nu: Scalar, max_edges: int):
         self.nu = as_scalar(nu)
         self.order = max_edges
-        table = solve_dobrushin(self.nu, self.order)
-        self.words = WordTable(self.nu, self.order, table)
-        self.table = table
-
-    def coeff(self, word: str, n: int) -> Scalar:
-        if n < 0 or n > self.order:
-            return Fraction(0)
-        if len(word) <= 2:
-            return self.words.series(word).coeff(n) if len(word) > 0 else Fraction(0)
-        if len(word) > self.words.p_max:
-            return Fraction(0)
-        return self.words.series(word).coeff(n)
+        self.words = WordTable(self.nu, self.order, solve_dobrushin(self.nu, self.order))
 
     def case_weights(self, word: str, n: int) -> tuple[list[tuple], list[Scalar], list[list[tuple]]]:
-        """Cases, weights and per-case child (word, size) assignments."""
-        nu = self.nu
-        p = len(word)
-        mono = nu if word[0] == word[-1] else Fraction(1)
+        """Cases, weights and per-case child (word, size) assignments.
+
+        The children of a peeling case share the size n - 1 (the bare edge
+        has size 1); a split case is listed once per size n1 of its first
+        child, and cases of weight zero are left out.
+        """
+        mono = self.nu if word[0] == word[-1] else Fraction(1)
+        coeff = self.words.coeff
         cases: list[tuple] = []
         weights: list[Scalar] = []
         payload: list[list[tuple]] = []
-        if p == 2 and n == 1:
-            cases.append(("edge",))
-            weights.append(mono)
-            payload.append([])
-        for c in "+-":
-            w = self.coeff(c + word, n - 1)
-            if w:
-                cases.append(("insert", c))
-                weights.append(mono * w)
-                payload.append([(c + word, n - 1)])
-        for i in range(1, p + 1):
-            wl, wr = word[:i], word[i - 1:]
-            for n1 in range(0, n):
-                c1 = self.coeff(wl, n1)
-                if not c1:
-                    continue
-                c2 = self.coeff(wr, n - 1 - n1)
-                if not c2:
-                    continue
-                cases.append(("split", i, n1))
-                weights.append(mono * c1 * c2)
-                payload.append([(wl, n1), (wr, n - 1 - n1)])
+        for case, children in peeling_cases(word):
+            if case[0] == "edge":
+                if n == 1:
+                    cases.append(case)
+                    weights.append(mono)
+                    payload.append([])
+            elif case[0] == "insert":
+                w = coeff(children[0], n - 1)
+                if w:
+                    cases.append(case)
+                    weights.append(mono * w)
+                    payload.append([(children[0], n - 1)])
+            else:
+                wl, wr = children
+                for n1 in range(n):
+                    c1 = coeff(wl, n1)
+                    if not c1:
+                        continue
+                    c2 = coeff(wr, n - 1 - n1)
+                    if not c2:
+                        continue
+                    cases.append(case + (n1,))
+                    weights.append(mono * c1 * c2)
+                    payload.append([(wl, n1), (wr, n - 1 - n1)])
         return cases, weights, payload
 
 
 def _sample_gon_exact(ctx: ExactSamplerContext, word: str, n: int,
                       rng: random.Random) -> _Piece:
-    target = ctx.coeff(word, n)
+    target = ctx.words.coeff(word, n)
     if not target:
         raise CoefficientsMissing(f"[t^{n}] Z_{word} = 0")
 
@@ -389,7 +357,7 @@ def _sample_gon_exact(ctx: ExactSamplerContext, word: str, n: int,
         total: Scalar = Fraction(0)
         for x in weights:
             total = total + x
-        if total != ctx.coeff(w, size):
+        if total != ctx.words.coeff(w, size):
             raise AssertionError("peeling case weights do not sum to the coefficient")
         k = pick_weighted(weights, rng)
         case = cases[k]
@@ -415,8 +383,8 @@ def exact_sample(nu: Scalar, n: int, seed: int,
     rng = random.Random(derive_seed(seed, "exact"))
     inv_nu = 1 / nu if isinstance(nu, Fraction) else nu.inverse()
 
-    w_pp = ctx.coeff("++", size) * inv_nu
-    w_pm = ctx.coeff("+-", size)
+    w_pp = ctx.words.coeff("++", size) * inv_nu
+    w_pm = ctx.words.coeff("+-", size)
     z1 = ctx.words.series("+")
     w_loop: Scalar = Fraction(0)
     loop_splits: list[tuple[int, Scalar]] = []
@@ -443,10 +411,9 @@ def exact_sample(nu: Scalar, n: int, seed: int,
         result = _close_loop_pair(piece1, piece2)
     if pick_weighted([Fraction(1), Fraction(1)], rng) == 1:
         result = result.flipped_spins()
-    if VALIDATE_BUILDS:
-        result.validate("sphere")
-        if result.n_edges != 3 * n:
-            raise AssertionError("sampled map has wrong size")
+    result.validate("sphere")
+    if result.n_edges != 3 * n:
+        raise AssertionError("sampled map has wrong size")
     return result
 
 
@@ -490,24 +457,21 @@ class BoltzmannContext:
         return v
 
     def case_distribution(self, word: str) -> tuple[list[tuple], list[Fraction]]:
-        nu = self.nu
-        p = len(word)
-        mono = nu if word[0] == word[-1] else Fraction(1)
-        t_mid = self.t.mid
-        mono_f = scalar_to_float(mono, 96).mid
+        """Peeling cases with their child words, and their weights at t.
+
+        Insertions past `length_cap` are left out.
+        """
+        mono = self.nu if word[0] == word[-1] else Fraction(1)
+        weight_t = scalar_to_float(mono, 96).mid * self.t.mid
         cases: list[tuple] = []
         weights: list[Fraction] = []
-        if p == 2:
-            cases.append(("edge",))
-            weights.append(mono_f * t_mid)
-        for c in "+-":
-            w = c + word
-            if len(w) <= self.length_cap:
-                cases.append(("insert", c))
-                weights.append(mono_f * t_mid * self.value(w))
-        for i in range(1, p + 1):
-            cases.append(("split", i))
-            weights.append(mono_f * t_mid * self.value(word[:i]) * self.value(word[i - 1:]))
+        for case, children in peeling_cases(word):
+            if all(len(w) <= self.length_cap for w in children):
+                weight = weight_t
+                for w in children:
+                    weight = weight * self.value(w)
+                cases.append((case, children))
+                weights.append(weight)
         total = sum(weights)
         target = self.value(word)
         discrepancy = abs(float(total - target)) / abs(float(target))
@@ -540,16 +504,12 @@ def boltzmann_sample(omega: str, nu: Scalar, ctx: BoltzmannContext, seed: int,
         if len(w) > ctx.length_cap:
             raise StepCapExceeded(f"boundary length exceeded {ctx.length_cap}")
         cases, weights = ctx.case_distribution(w)
-        k = pick_weighted(weights, rng)
-        node.case = cases[k]
-        node.children = [_Node((), []) for _ in _child_words(w, cases[k])]
-        for ch, cw in zip(node.children, _child_words(w, cases[k])):
-            work.append((ch, cw))
+        node.case, children = cases[pick_weighted(weights, rng)]
+        node.children = [_Node((), []) for _ in children]
+        work.extend(zip(node.children, children))
 
-    piece = _build_from_tree(root, omega)
-    m = piece.to_map()
-    if VALIDATE_BUILDS:
-        m.validate("pgon", len(omega))
+    m = _build_from_tree(root, omega).to_map()
+    m.validate("pgon", len(omega))
     return m
 
 
@@ -574,7 +534,6 @@ class McmcState:
         return CombMap(m.alpha, m.sigma, m.root, tuple(spins))
 
     def recompute_mono(self) -> int:
-        vo = CombMap(tuple(self.alpha), tuple(self.sigma), self.root).vertex_of()
         m = 0
         for d in range(len(self.alpha)):
             e = self.alpha[d]
@@ -725,7 +684,7 @@ def _flip_move(state: McmcState, nu: Scalar, rng: random.Random) -> None:
     state.mono += delta
     try:
         state.to_map().validate("sphere")
-    except Exception:
+    except InvalidMap:
         state.sigma[:] = saved[0]
         state.mono = saved[1]
         state.spin[g] = spin_a

@@ -12,11 +12,11 @@ more t-layer, and stabilization is verified at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import Interval, Scalar, as_scalar, format_scalar, scalar_to_float
+from .exactnum import Scalar, as_scalar, format_scalar
 
 
 class DegreeOverflow(Exception):
@@ -164,13 +164,6 @@ class TSeries:
                 return k
         return None
 
-    def eval_interval(self, t: Interval, bits: int = 96) -> Interval:
-        """Partial sum sum_{k<=order} c_k t^k as an interval (no tail)."""
-        total = Interval(Fraction(0))
-        for k, c in sorted(self.coeffs.items()):
-            total = (total + scalar_to_float(c, bits) * t.powi(k)).rounded(bits)
-        return total
-
     def to_json(self) -> dict:
         return {
             "nu": format_scalar(self.nu),
@@ -309,23 +302,6 @@ class BivSeries:
             out.coeffs[(kk, ii, jj)] = c * v
         return out
 
-    def div_x(self) -> "BivSeries":
-        return self.mul_monomial(0, -1, 0)
-
-    def div_y(self) -> "BivSeries":
-        return self.mul_monomial(0, 0, -1)
-
-    def coeff_of_x(self, i: int) -> "BivSeries":
-        """The coefficient of x^i, as a series in t and y only."""
-        out = BivSeries(self.nu, self.order, self.dx, self.dy)
-        out.coeffs = {(k, 0, j): c for (k, ii, j), c in self.coeffs.items() if ii == i}
-        return out
-
-    def coeff_of_y(self, j: int) -> "BivSeries":
-        out = BivSeries(self.nu, self.order, self.dx, self.dy)
-        out.coeffs = {(k, i, 0): c for (k, i, jj), c in self.coeffs.items() if jj == j}
-        return out
-
     def swap_xy(self) -> "BivSeries":
         out = BivSeries(self.nu, self.order, self.dy, self.dx)
         out.coeffs = {(k, j, i): c for (k, i, j), c in self.coeffs.items()}
@@ -357,16 +333,6 @@ class BivSeries:
             "coeffs": {f"{k},{i},{j}": format_scalar(c)
                        for (k, i, j), c in sorted(self.coeffs.items())},
         }
-
-
-def tseries_from_biv(b: BivSeries) -> TSeries:
-    """Collapse a BivSeries with no catalytic content into a TSeries."""
-    out: dict[int, Scalar] = {}
-    for (k, i, j), c in b.coeffs.items():
-        if i or j:
-            raise ValueError("series still carries catalytic variables")
-        out[k] = c
-    return TSeries(b.nu, b.order, out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ except ImportError:                 # pragma: no cover
     jsonschema = None
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "isingtri" / "schemas"
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_cli(*args):
@@ -89,6 +90,35 @@ def test_sample_exact_output_hash_pinned():
     out = json.loads(proc.stdout)
     assert (out["manifest"]["output_hashes"]["result"]
             == "665b97410e3e92aa77005314fcb9d39a8d105a39470801a5e610f7b207dc9a8e")
+
+
+@pytest.mark.parametrize("args, result_hash", [
+    (("boltzmann", "--nu", "2", "--t", "1/20", "--word", "++", "--series-order", "7",
+      "--reps", "10", "--seed", "20"),
+     "1aa225911cc6cc80397e3c94a371a0b73818b70748bff6c5fcd9c7436b2dcc51"),
+    (("exact", "--nu", "2", "--n", "6", "--reps", "5", "--seed", "3"),
+     "e887895f25e6b6924480748990901fde6b903d2fa4ef9fd616799c3b57a28fa4"),
+], ids=["boltzmann-2-7", "exact-2-6"])
+def test_sample_output_hash_pinned(args, result_hash):
+    proc = run_cli("sample", *args)
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["manifest"]["output_hashes"]["result"] == result_hash
+
+
+@pytest.mark.parametrize("args", [
+    ("coeffs", "--nu", "2", "--target", "word:++-", "--order", "8"),
+    ("sample", "exact", "--nu", "2", "--n", "2", "--reps", "2", "--seed", "1"),
+], ids=["coeffs", "sample-exact"])
+def test_benchmark_tracer_finds_its_functions(args, tmp_path):
+    # the tracer looks functions up by name: a rename must fail here, not in a traced run
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(PERFBENCH_DIR / "traced.py"), str(trace), "--", *args],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(trace.read_text())["metrics"]
+    assert "partition.words_read" in metrics
+    assert "sampler.case_weights_calls" in metrics
 
 
 def test_stats_hash_independent_of_input_path(tmp_path):

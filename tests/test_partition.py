@@ -30,6 +30,18 @@ from isingtri.series import (
 NU = Fraction(3)
 
 
+def x_coeff(b, i):
+    """[x^i] b, as a BivSeries in t and y only."""
+    out = BivSeries(b.nu, b.order, b.dx, b.dy)
+    out.coeffs = {(k, 0, j): c for (k, ii, j), c in b.coeffs.items() if ii == i}
+    return out
+
+
+def y_coeff(b, j):
+    """[y^j] b, as a BivSeries in t and x only."""
+    return x_coeff(b.swap_xy(), j).swap_xy()
+
+
 def reference_update(nu, order, state):
     """The two peeling equations transcribed term by term on BivSeries.
 
@@ -41,10 +53,10 @@ def reference_update(nu, order, state):
     """
     t = 1  # t-power shorthand for mul_monomial calls
     M, Z = state["mixed"], state["zplus"]
-    m1_of_y = M.coeff_of_x(1)                     # [x] S, a series in y
-    m1_of_x = M.coeff_of_y(1)                     # [y] S, a series in x
+    m1_of_y = x_coeff(M, 1)                       # [x] S, a series in y
+    m1_of_x = y_coeff(M, 1)                       # [y] S, a series in x
     z_in_y = Z.swap_xy()
-    z1 = Z.coeff_of_x(1)                          # Z_+ as a plain t-series
+    z1 = x_coeff(Z, 1)                            # Z_+ as a plain t-series
 
     xy = BivSeries.monomial(nu, order, M.dx, M.dy, 1, 1, 1)
     new_m = (
@@ -168,41 +180,60 @@ def test_solve_word_flip_and_pruning(table9):
     assert words.series("+" * 9).is_zero()
 
 
-def reference_word_update(words, unknowns):
-    """The root-edge deletion identity transcribed on TSeries, word by word.
+def flip_key(word):
+    return min(word, word.translate(str.maketrans("+-", "-+")))
+
+
+def reference_rule(word):
+    """The right-hand side of the root-edge deletion identity for `word`.
 
         Z_w = weight t (sum_c Z_{c+w} + sum_i Z_{w[:i]} Z_{w[i-1:]})
 
-    with weight nu for a monochromatic root edge (w[0] == w[-1]) and 1
-    otherwise.  `words` supplies the seeds, p_max and the spin-flip key;
-    `unknowns` is the closure being solved.  The word table must return the
-    fixed point of this map.
+    Returns (monochromatic root edge, inserted words, split pairs).
     """
-    nu, p_max = words.nu, words.p_max
-    refs = {w: partition._word_refs(w, p_max) for w in unknowns}
-    unknown_set = set(unknowns)
+    mono = word[0] == word[-1]
+    inserted = [c + word for c in "+-"]
+    splits = [(word[:i], word[i - 1:]) for i in range(1, len(word) + 1)]
+    return mono, inserted, splits
 
+
+def reference_closure(word, p_max):
+    """Flip keys of the words of length 3..p_max that `word`'s identity reaches."""
+    todo, seen = [flip_key(word)], set()
+    while todo:
+        w = todo.pop()
+        if w in seen or not 3 <= len(w) <= p_max:
+            continue
+        seen.add(w)
+        _, inserted, splits = reference_rule(w)
+        todo.extend(flip_key(c) for c in inserted)
+        todo.extend(flip_key(c) for pair in splits for c in pair)
+    return sorted(seen)
+
+
+def reference_word_update(nu, seeds, unknowns):
+    """The deletion identity as a Picard update over the closure `unknowns`.
+
+    `seeds` maps the flip keys "+", "++" and "+-" to their Dobrushin slices;
+    words outside the closure are longer than any map below the order and
+    read as zero.  The word table must return the fixed point of this map.
+    """
     def update(state, order):
         def lookup(w):
-            if w is None:
-                return TSeries.zero(nu, order)
-            k = words._key(w)
-            if k in unknown_set:
-                return state[k]
-            if len(k) > p_max:
-                return TSeries.zero(nu, order)
-            return words.entries[k].with_order(order)
+            k = flip_key(w)
+            if k in seeds:
+                return seeds[k].with_order(order)
+            return state.get(k, TSeries.zero(nu, order))
 
         out = {}
         for w in unknowns:
-            mono, inserted, splits = refs[w]
-            weight = nu if mono else Fraction(1)
+            mono, inserted, splits = reference_rule(w)
             total = TSeries.zero(nu, order)
-            for ref in inserted:
-                total = total + lookup(ref)
+            for c in inserted:
+                total = total + lookup(c)
             for a, b in splits:
                 total = total + lookup(a) * lookup(b)
-            out[w] = total.shift(1).scale(weight)
+            out[w] = total.shift(1).scale(nu if mono else Fraction(1))
         return out
 
     return update
@@ -216,17 +247,43 @@ WORD_NUS = pytest.mark.parametrize(
 @pytest.mark.parametrize("order", [4, 9, 12])
 def test_word_table_matches_reference_picard_solve(nu, order):
     dobrushin = solve_dobrushin(nu, order)
-    seeded = WordTable(nu, order, dobrushin)
-    unknowns = seeded._closure("+++")
+    seeds = {"+": dobrushin.z_plus, "++": dobrushin.z_plusplus, "+-": dobrushin.z_plusminus}
+    unknowns = reference_closure("+++", (order + 3) // 2)
     zero = {w: TSeries.zero(nu, 0) for w in unknowns}
-    ref = solve_fixed_point(FixedPointSpec(zero, reference_word_update(seeded, unknowns)), order)
+    ref = solve_fixed_point(FixedPointSpec(zero, reference_word_update(nu, seeds, unknowns)), order)
     words = WordTable(nu, order, dobrushin)
-    words.series(unknowns[-1])        # a second closure then reads this one's layers
-    words.series("+++")
-    assert set(words.entries) == set(unknowns) | set(seeded.entries)
+    # read one top state cold first, so that it recurses through the states below it
+    assert words.coeff(unknowns[-1], order) == ref[unknowns[-1]].coeff(order)
     for w in unknowns:
-        assert words.entries[w].order == order
-        assert words.entries[w].coeffs == ref[w].coeffs
+        flipped = w.translate(str.maketrans("+-", "-+"))
+        for n in range(order + 1):
+            assert words.coeff(w, n) == ref[w].coeff(n)
+            assert words.coeff(flipped, n) == ref[w].coeff(n)
+        assert words.series(w).order == order
+        assert words.series(w).coeffs == ref[w].coeffs
+
+
+def test_peeling_cases_in_sampling_order():
+    assert partition.peeling_cases("+-") == [
+        (("edge",), ()),
+        (("insert", "+"), ("++-",)),
+        (("insert", "-"), ("-+-",)),
+        (("split", 1), ("+", "+-")),
+        (("split", 2), ("+-", "-")),
+    ]
+    assert [case for case, _ in partition.peeling_cases("+-+")] == [
+        ("insert", "+"), ("insert", "-"), ("split", 1), ("split", 2), ("split", 3)]
+
+
+def test_word_table_size_budget():
+    words = WordTable(NU, 12, solve_dobrushin(NU, 12))
+    # a p-gon has at least 2p - 3 edges: below that a state is zero and never stored
+    for p in range(3, 8):
+        assert words.coeff("+" * p, 2 * p - 4) == 0
+        assert words.coeff("+" * p, 2 * p - 3) > 0
+    assert all(n >= 2 * len(w) - 3 for w, n in words._states)
+    with pytest.raises(ValueError):
+        words.coeff("+++", 13)
 
 
 def test_word_table_does_not_use_picard(monkeypatch):
@@ -239,19 +296,14 @@ def test_word_table_does_not_use_picard(monkeypatch):
 
 
 def test_word_table_rejects_a_rule_without_its_power_of_t(monkeypatch):
-    layer = partition._word_layer
+    rule = WordTable._rule
 
-    def reads_own_layer(rules, k, m, d):
-        out = layer(rules, k, m, d)
-        for word, _mono, _inserted, splits in rules:
-            own = splits[0][1]            # the split (w[:1], w) reads w itself
-            c = own.get(k)
-            if c:
-                u, v = out.get(word, (0, 0))
-                out[word] = (u + c[0], v + c[1])
-        return out
+    def reads_own_state(self, word, n):
+        u, v = rule(self, word, n)
+        p, q = self._state(word, n)       # Z_w read at its own size: no t factor
+        return u + p, v + q
 
-    monkeypatch.setattr(partition, "_word_layer", reads_own_layer)
+    monkeypatch.setattr(WordTable, "_rule", reads_own_state)
     with pytest.raises(NotContractive):
         WordTable(NU, 9, solve_dobrushin(NU, 9)).series("+++")
 
