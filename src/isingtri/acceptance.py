@@ -37,7 +37,6 @@ from .partition import (
     sphere_series,
     solve_dobrushin,
     solve_U,
-    solve_word,
     verify_catalytic,
     zplus_recursion,
 )

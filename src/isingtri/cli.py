@@ -408,9 +408,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except Exception as exc:  # computational failure: structured error, exit 1
+    # the failures the commands raise (NotImplementedError is a RuntimeError):
+    # a structured error and exit 1; a bug such as an AttributeError keeps its
+    # traceback
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err), file=sys.stderr)
         return 1

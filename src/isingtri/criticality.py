@@ -54,22 +54,15 @@ class NonConvergence(ArithmeticError):
 
 def p1_poly(nu: Scalar, rho: Scalar) -> Scalar:
     """Cubic branch of the critical curve (supercritical weights)."""
-    nu, rho = as_scalar(nu), as_scalar(rho)
-    return (131072 * rho ** 3 * nu ** 9
-            - 192 * nu ** 6 * (3 * nu + 5) * (nu - 1) * (3 * nu - 11) * rho ** 2
-            - 48 * nu ** 3 * (nu - 1) ** 2 * rho
-            + (nu - 1) * (4 * nu ** 2 - 8 * nu - 23))
+    return _eval_poly(_poly_coeffs(as_scalar(nu), "supercritical_P1"), as_scalar(rho))
 
 
 def p2_poly(nu: Scalar, rho: Scalar) -> Scalar:
     """Quadratic branch of the critical curve (subcritical weights)."""
-    nu, rho = as_scalar(nu), as_scalar(rho)
-    return (27648 * rho ** 2 * nu ** 4
-            + 864 * nu * (nu - 1) * (nu ** 2 - 2 * nu - 1) * rho
-            + (7 * nu ** 2 - 14 * nu - 9) * (nu - 2) ** 2)
+    return _eval_poly(_poly_coeffs(as_scalar(nu), "subcritical_P2"), as_scalar(rho))
 
 
-def _poly_coeffs(nu: Fraction, regime: str) -> list[Fraction]:
+def _poly_coeffs(nu: Scalar, regime: str) -> list[Scalar]:
     """Coefficients [c0, c1, ...] in rho of the regime polynomial."""
     if regime == "subcritical_P2":
         return [
@@ -85,8 +78,8 @@ def _poly_coeffs(nu: Fraction, regime: str) -> list[Fraction]:
     ]
 
 
-def _eval_poly(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _eval_poly(coeffs: list[Scalar], x: Scalar) -> Scalar:
+    acc: Scalar = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc

@@ -19,12 +19,12 @@ class DivisionByZero(ZeroDivisionError):
     pass
 
 
-def _sign_fraction(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _sign(x) -> int:
+    """Sign of an exact scalar.  A difference of two QuadExt values whose
+    sqrt7 parts cancel has been demoted to a Fraction, so both kinds occur."""
+    if isinstance(x, QuadExt):
+        return x.sign()
+    return (x > 0) - (x < 0)
 
 
 class QuadExt:
@@ -123,8 +123,8 @@ class QuadExt:
 
     def sign(self) -> int:
         """Sign of a + b*sqrt(7), decided by comparing a^2 against 7 b^2."""
-        sa = _sign_fraction(self._a)
-        sb = _sign_fraction(self._b)
+        sa = _sign(self._a)
+        sb = _sign(self._b)
         if sb == 0:
             return sa
         if sa == 0:
@@ -151,25 +151,25 @@ class QuadExt:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() < 0
+        return _sign(self - other) < 0
 
     def __le__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() <= 0
+        return _sign(self - other) <= 0
 
     def __gt__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() > 0
+        return _sign(self - other) > 0
 
     def __ge__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() >= 0
+        return _sign(self - other) >= 0
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
@@ -187,7 +187,7 @@ def _coerce(x):
 
 
 def _make(a: Fraction, b: Fraction) -> Scalar:
-    """Normalize a + b*sqrt7: demote to a plain Fraction when b == 0."""
+    """Normalize a + b*sqrt7: demote to plain a (a Fraction, or an int) when b == 0."""
     if b == 0:
         return a
     return QuadExt(a, b)
@@ -203,29 +203,6 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, str):
         return parse_scalar(x)
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
-
-
-def scalar_arith(a: Scalar, op: str, b: Scalar) -> Scalar:
-    a, b = as_scalar(a), as_scalar(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise DivisionByZero("scalar division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def scalar_cmp(a: Scalar, b: Scalar) -> int:
-    """Total order of the real embedding: -1, 0 or +1, computed exactly."""
-    a, b = as_scalar(a), as_scalar(b)
-    if isinstance(a, QuadExt) or isinstance(b, QuadExt):
-        return (_coerce(a) - _coerce(b)).sign()
-    return _sign_fraction(a - b)
 
 
 # ---------------------------------------------------------------------------

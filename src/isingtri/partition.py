@@ -16,7 +16,8 @@ computes each (word, size) state once, on demand, over the same rings, from
 the smaller states the root-edge peeling identity reads; a p-gon has at
 least 2p - 3 edges, so states below that size budget are zero and never
 computed.  Both convert to exact scalars only at the end.  `peeling_cases` is
-the one list of peeling cases, read by the word table and by both samplers.
+the one list of peeling cases, read by the word table and by both samplers;
+the exact sampler's case weights are the word table's own integer terms.
 Only the U series goes through the generic `series.solve_fixed_point`.
 """
 
@@ -66,9 +67,6 @@ class DobrushinTable:
         self.z_plus = self.zplus.extract_tseries(1, 0)
         self.z_plusplus = self.zplus.extract_tseries(2, 0)
         self.z_plusminus = self.mixed.extract_tseries(1, 1)
-
-    def zplus_slice(self, p: int) -> TSeries:
-        return self.zplus.extract_tseries(p, 0)
 
 
 def _integer_weight(nu: Scalar) -> tuple[tuple[int, int], int]:
@@ -234,8 +232,10 @@ class WordTable:
     from states of size below n only; each state is computed once, on demand.
     A p-gon has at least 2p - 3 edges, so c(w, n) = 0 for n < 2p - 3: this
     size budget bounds the states one coefficient reaches.  Words and their
-    spin flips share one state.  `coeff` reads one state; `series` assembles
-    t^0..t^order into `entries`.
+    spin flips share one state.  `terms` lists the identity's nonzero terms,
+    which the exact sampler reads as its case weights, and `total` weighs
+    them by the root edge.  `state` reads one integer state, `coeff` the
+    scalar it stands for; `series` assembles t^0..t^order into `entries`.
     """
 
     def __init__(self, nu: Scalar, order: int, dobrushin: DobrushinTable | None = None):
@@ -281,17 +281,21 @@ class WordTable:
         """[t^n] Z_word, for n <= order."""
         c = self._coeffs.get((word, n))
         if c is None:
-            if not self._seeds:
-                raise SeedMissing("length-1/2 words must be seeded from solve_dobrushin")
-            if n > self.order:
-                raise ValueError(f"t^{n} is beyond the table order {self.order}")
-            u, v = self._state(word, n)
+            u, v = self.state(word, n)
             scale = self._d ** n
             c = self._coeffs[word, n] = _make(Fraction(u, scale), Fraction(v, scale))
         return c
 
+    def state(self, word: str, n: int) -> tuple[int, int]:
+        """c(word, n) = d^n [t^n] Z_word as the pair (u, v) of u + v sqrt7, for n <= order."""
+        if not self._seeds:
+            raise SeedMissing("length-1/2 words must be seeded from solve_dobrushin")
+        if n > self.order:
+            raise ValueError(f"t^{n} is beyond the table order {self.order}")
+        return self._state(word, n)
+
     def _state(self, word: str, n: int) -> tuple[int, int]:
-        """c(word, n) = d^n [t^n] Z_word as the pair (u, v) of u + v sqrt7."""
+        """`state` without its checks, memoised over flip keys."""
         if n < 2 * len(word) - 3:
             return 0, 0
         key = self._key(word)
@@ -307,40 +311,52 @@ class WordTable:
         return c
 
     def _rule(self, word: str, n: int) -> tuple[int, int]:
-        """c(word, n) by the peeling identity, for |word| >= 3.
+        """c(word, n) by the peeling identity, for |word| >= 3."""
+        return self.total(word, self.terms(word, n))
 
-        Every case reads its children at total size n - 1, and the factor
-        weight t becomes m (monochromatic root edge) or d, so the state is an
-        integer combination of smaller states and nothing divides.
+    def terms(self, word: str, n: int):
+        """The nonzero terms of c(word, n)'s peeling identity, in sampling order.
+
+        Each is (case, ((child, size), ...), (u, v)), the case and children as
+        in `peeling_cases` with the children's sizes summing to n - 1, and
+        (u, v) the product of the children's states.  The bare edge is the
+        term 1 at n = 1.  The terms are read before the root-edge factor, so
+        `total(word, terms)` is c(word, n); for n <= order.
         """
         state = self._state
-        u = v = 0
         for case, children in peeling_cases(word):
-            if case[0] == "insert":
-                p, q = state(children[0], n - 1)
-                u += p
-                v += q
-                continue
-            left, right = children
-            for a in range(n):
-                p, q = state(left, a)
-                if p or q:
-                    r, s = state(right, n - 1 - a)
-                    u += p * r + 7 * q * s
-                    v += p * s + q * r
+            if case[0] == "edge":
+                if n == 1:
+                    yield case, (), (1, 0)
+            elif case[0] == "insert":
+                c = state(children[0], n - 1)
+                if c != (0, 0):
+                    yield case, ((children[0], n - 1),), c
+            else:
+                left, right = children
+                for a in range(n):
+                    p, q = state(left, a)
+                    if p or q:
+                        r, s = state(right, n - 1 - a)
+                        if r or s:
+                            yield (case, ((left, a), (right, n - 1 - a)),
+                                   (p * r + 7 * q * s, p * s + q * r))
+
+    def total(self, word: str, terms) -> tuple[int, int]:
+        """The root-edge factor of `word` times the sum of `terms`.
+
+        The factor weight t of the identity becomes m for a monochromatic
+        root edge and d otherwise, so a state is an integer combination of
+        smaller states and nothing divides.
+        """
+        u = v = 0
+        for *_, (p, q) in terms:
+            u += p
+            v += q
         if word[0] != word[-1]:
             return self._d * u, self._d * v
         mu, mv = self._m
         return mu * u + 7 * mv * v, mv * u + mu * v
-
-
-def solve_word(omega: str, nu: Scalar, order: int, table: WordTable) -> TSeries:
-    """Z_omega for |omega| >= 3 by the raw root-edge deletion identity."""
-    if len(omega) < 3:
-        raise ValueError("words of length 1 and 2 are seeds, not solved")
-    if table.nu != as_scalar(nu) or table.order < order:
-        raise ValueError("word table does not match nu / order")
-    return table.series(omega).with_order(order)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,12 @@ plus heat-bath Markov chain for sizes beyond exact reach.
 
 Case selection is exact for exact scalars: a uniform variate is drawn lazily
 bit by bit as a shrinking dyadic interval and compared against cumulative
-weights with exact arithmetic, so no case probability is ever rounded.  Every
-sample records its seed; replicas derive independent streams by hashing.
+weights with exact arithmetic, so no case probability is ever rounded.  The
+choice depends only on the ratios of the weights, so the exact sampler reads
+its case weights as the word table's integer peeling terms, before the
+common root-edge factor and scale d^n (nu = m / d), and the Markov chain
+weighs spins and flips by integer powers of m and d.  Every sample records
+its seed; replicas derive independent streams by hashing.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .criticality import eval_series_interval
-from .exactnum import Interval, Scalar, as_scalar, scalar_to_float
+from .exactnum import Interval, Scalar, _make, as_scalar, scalar_to_float
 from .maps.combmap import CombMap, InvalidMap, normalize_word, spins_to_word, word_to_spins
-from .partition import WordTable, peeling_cases, solve_dobrushin
+from .partition import WordTable, _integer_weight, peeling_cases, solve_dobrushin
 
 RNG_ALGORITHM = "python-mt19937/sha256-derived-streams"
 
@@ -52,10 +56,11 @@ def pick_weighted(weights: list[Scalar], rng: random.Random) -> int:
 
     A uniform variate on [0, total) is represented as the dyadic interval
     [lo, lo+1)/2^k * total and refined one random bit at a time until it fits
-    inside a single cumulative segment; all comparisons are exact.
+    inside a single cumulative segment; all comparisons are exact.  Scaling
+    every weight by one positive constant changes no choice.
     """
     cum: list[Scalar] = []
-    acc: Scalar = Fraction(0)
+    acc: Scalar = 0
     for w in weights:
         if w < 0:
             raise ValueError("negative weight")
@@ -81,11 +86,17 @@ def pick_weighted(weights: list[Scalar], rng: random.Random) -> int:
         k += 1
 
 
-def bernoulli(p: Scalar, rng: random.Random) -> bool:
-    """True with exact probability min(1, p)."""
-    if p >= 1:
+def bernoulli(num: Scalar, den: Scalar, rng: random.Random) -> bool:
+    """True with exact probability min(1, num / den), for num, den > 0."""
+    if num >= den:
         return True
-    return pick_weighted([as_scalar(p), 1 - as_scalar(p)], rng) == 0
+    return pick_weighted([num, den - num], rng) == 0
+
+
+def _weight_ratio(nu: Scalar) -> tuple[Scalar, int]:
+    """(m, d) with nu = m / d, m in Z or Z[sqrt7] and the integer d > 0."""
+    m, d = _integer_weight(nu)
+    return _make(*m), d
 
 
 # ---------------------------------------------------------------------------
@@ -300,72 +311,43 @@ def _build_from_tree(root: _Node, word: str) -> _Piece:
 # ---------------------------------------------------------------------------
 
 class ExactSamplerContext:
-    """Coefficient tables for size-conditioned exact sampling at one nu."""
+    """Coefficient tables for size-conditioned exact sampling at one nu.
+
+    The case weights are the word table's integer peeling terms of the
+    state c(word, n) = d^n [t^n] Z_word, read before the root-edge factor:
+    they differ from the case probabilities times [t^n] Z_word by one
+    positive constant per (word, n), and the choice is scale-invariant.
+    """
 
     def __init__(self, nu: Scalar, max_edges: int):
         self.nu = as_scalar(nu)
         self.order = max_edges
         self.words = WordTable(self.nu, self.order, solve_dobrushin(self.nu, self.order))
 
-    def case_weights(self, word: str, n: int) -> tuple[list[tuple], list[Scalar], list[list[tuple]]]:
-        """Cases, weights and per-case child (word, size) assignments.
+    def case_weights(self, word: str, n: int) -> list[tuple]:
+        """The nonzero terms (case, ((child, size), ...), (u, v)) of c(word, n).
 
-        The children of a peeling case share the size n - 1 (the bare edge
-        has size 1); a split case is listed once per size n1 of its first
-        child, and cases of weight zero are left out.
+        A split case is listed once per size of its first child; the
+        children of every case share the size n - 1 (the bare edge has
+        size 1).  See `WordTable.terms`.
         """
-        mono = self.nu if word[0] == word[-1] else Fraction(1)
-        coeff = self.words.coeff
-        cases: list[tuple] = []
-        weights: list[Scalar] = []
-        payload: list[list[tuple]] = []
-        for case, children in peeling_cases(word):
-            if case[0] == "edge":
-                if n == 1:
-                    cases.append(case)
-                    weights.append(mono)
-                    payload.append([])
-            elif case[0] == "insert":
-                w = coeff(children[0], n - 1)
-                if w:
-                    cases.append(case)
-                    weights.append(mono * w)
-                    payload.append([(children[0], n - 1)])
-            else:
-                wl, wr = children
-                for n1 in range(n):
-                    c1 = coeff(wl, n1)
-                    if not c1:
-                        continue
-                    c2 = coeff(wr, n - 1 - n1)
-                    if not c2:
-                        continue
-                    cases.append(case + (n1,))
-                    weights.append(mono * c1 * c2)
-                    payload.append([(wl, n1), (wr, n - 1 - n1)])
-        return cases, weights, payload
+        return list(self.words.terms(word, n))
 
 
 def _sample_gon_exact(ctx: ExactSamplerContext, word: str, n: int,
                       rng: random.Random) -> _Piece:
-    target = ctx.words.coeff(word, n)
-    if not target:
+    words = ctx.words
+    if words.state(word, n) == (0, 0):
         raise CoefficientsMissing(f"[t^{n}] Z_{word} = 0")
 
     def make_node(w: str, size: int) -> _Node:
-        cases, weights, payload = ctx.case_weights(w, size)
-        total: Scalar = Fraction(0)
-        for x in weights:
-            total = total + x
-        if total != ctx.words.coeff(w, size):
+        terms = ctx.case_weights(w, size)
+        if words.total(w, terms) != words.state(w, size):
             raise AssertionError("peeling case weights do not sum to the coefficient")
-        k = pick_weighted(weights, rng)
-        case = cases[k]
-        children = [make_node(cw, cn) for cw, cn in payload[k]]
-        return _Node(("split", case[1]) if case[0] == "split" else case, children)
+        case, children, _ = terms[pick_weighted([_make(*c) for *_, c in terms], rng)]
+        return _Node(case, [make_node(cw, cn) for cw, cn in children])
 
-    tree = make_node(word, n)
-    return _build_from_tree(tree, word)
+    return _build_from_tree(make_node(word, n), word)
 
 
 def exact_sample(nu: Scalar, n: int, seed: int,
@@ -373,7 +355,14 @@ def exact_sample(nu: Scalar, n: int, seed: int,
     """A spin-decorated sphere triangulation with 3n edges, exactly from the
     size-n Gibbs law: the root edge is classified loop/non-loop through the
     sphere relation, the corresponding gon is sampled by recursive peeling
-    with coefficient weights, and the boundary is sewn back up."""
+    with coefficient weights, and the boundary is sewn back up.
+
+    With nu = m / d and S the word table's integer states, the three root
+    classes weigh d S(++, s), m S(+-, s) and d sum_k S(+, k) S(+, s - k) at
+    s = 3n + 1: the sphere relation's weights times nu d^s.
+    """
+    if n < 1:
+        raise ValueError("a sphere triangulation has 3n >= 3 edges")
     nu = as_scalar(nu)
     size = 3 * n + 1
     if ctx is None:
@@ -381,22 +370,18 @@ def exact_sample(nu: Scalar, n: int, seed: int,
     if ctx.order < size:
         raise CoefficientsMissing("context solved to insufficient order")
     rng = random.Random(derive_seed(seed, "exact"))
-    inv_nu = 1 / nu if isinstance(nu, Fraction) else nu.inverse()
+    m, den = _weight_ratio(nu)
+    state = ctx.words.state
 
-    w_pp = ctx.words.coeff("++", size) * inv_nu
-    w_pm = ctx.words.coeff("+-", size)
-    z1 = ctx.words.series("+")
-    w_loop: Scalar = Fraction(0)
     loop_splits: list[tuple[int, Scalar]] = []
     for k1 in range(2, size - 1):
-        c1 = z1.coeff(k1)
-        c2 = z1.coeff(size - k1)
-        if c1 and c2:
-            w = c1 * c2 * inv_nu
-            loop_splits.append((k1, w))
-            w_loop = w_loop + w
+        c1, c2 = state("+", k1), state("+", size - k1)
+        if c1 != (0, 0) and c2 != (0, 0):
+            loop_splits.append((k1, _make(*c1) * _make(*c2)))
+    w_loop = sum(w for _, w in loop_splits)
 
-    case = pick_weighted([w_pp, w_pm, w_loop], rng)
+    case = pick_weighted([den * _make(*state("++", size)), m * _make(*state("+-", size)),
+                          den * w_loop], rng)
     if case == 0:
         piece = _sample_gon_exact(ctx, "++", size, rng)
         result = _close_2gon(piece)
@@ -409,7 +394,7 @@ def exact_sample(nu: Scalar, n: int, seed: int,
         piece1 = _sample_gon_exact(ctx, "+", k1, rng)
         piece2 = _sample_gon_exact(ctx, "+", size - k1, rng)
         result = _close_loop_pair(piece1, piece2)
-    if pick_weighted([Fraction(1), Fraction(1)], rng) == 1:
+    if pick_weighted([1, 1], rng) == 1:
         result = result.flipped_spins()
     result.validate("sphere")
     if result.n_edges != 3 * n:
@@ -589,15 +574,17 @@ def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int,
     size-3n Gibbs law; detailed balance holds move by move (the re-rooting
     proposal is symmetric on rooted maps and the law only depends on the
     unrooted content, so it mixes rootings without changing the target)."""
-    nu = as_scalar(nu)
+    if n < 1:
+        raise ValueError("a sphere triangulation has 3n >= 3 edges")
+    m, den = _weight_ratio(as_scalar(nu))
     rng = random.Random(derive_seed(seed, "mcmc"))
     alpha, sigma = _fan_triangulation(n)
     state = McmcState(alpha, sigma, 0, [1] * len(alpha), 0)
     state.mono = state.recompute_mono()
 
     for step in range(steps):
-        _heat_bath(state, nu, rng)
-        _flip_move(state, nu, rng)
+        _heat_bath(state, m, den, rng)
+        _flip_move(state, m, den, rng)
         state.root = rng.randrange(len(state.alpha))
         if collector is not None:
             collector(state)
@@ -625,7 +612,9 @@ def _vertices(state: McmcState) -> list[list[int]]:
     return out
 
 
-def _heat_bath(state: McmcState, nu: Scalar, rng: random.Random) -> None:
+def _heat_bath(state: McmcState, m: Scalar, den: int, rng: random.Random) -> None:
+    """Resample one vertex spin: with nu = m / den, the weights nu^k+ : nu^k-
+    of the two spins scale to m^k+ den^k- : m^k- den^k+."""
     verts = _vertices(state)
     cyc = verts[rng.randrange(len(verts))]
     darts = set(cyc)
@@ -639,8 +628,8 @@ def _heat_bath(state: McmcState, nu: Scalar, rng: random.Random) -> None:
             k_plus += 1
         else:
             k_minus += 1
-    w_plus = nu ** k_plus
-    w_minus = nu ** k_minus
+    w_plus = m ** k_plus * den ** k_minus
+    w_minus = m ** k_minus * den ** k_plus
     new_spin = 1 if pick_weighted([w_plus, w_minus], rng) == 0 else -1
     old_spin = state.spin[cyc[0]]
     if new_spin != old_spin:
@@ -650,7 +639,8 @@ def _heat_bath(state: McmcState, nu: Scalar, rng: random.Random) -> None:
             state.spin[d] = new_spin
 
 
-def _flip_move(state: McmcState, nu: Scalar, rng: random.Random) -> None:
+def _flip_move(state: McmcState, m: Scalar, den: int, rng: random.Random) -> None:
+    """Flip one edge, accepted with probability min(1, nu^delta), nu = m / den."""
     n = len(state.alpha)
     g = rng.randrange(n)
     gb = state.alpha[g]
@@ -672,7 +662,7 @@ def _flip_move(state: McmcState, nu: Scalar, rng: random.Random) -> None:
     spin_a = state.spin[y1]     # tail of g
     spin_b = state.spin[x1]     # head of g
     delta = (1 if spin_c == spin_d else 0) - (1 if spin_a == spin_b else 0)
-    if delta and not bernoulli(nu ** delta, rng):
+    if delta and not (bernoulli(m, den, rng) if delta > 0 else bernoulli(den, m, rng)):
         return
     saved = (list(sigma), state.mono)
     # faces after the flip: [g, y2, x1] and [gb, x2, y1], with g now c -> d

@@ -59,9 +59,6 @@ class TSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def valuation(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
-
     def support(self) -> list[int]:
         return sorted(self.coeffs)
 

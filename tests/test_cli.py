@@ -98,7 +98,20 @@ def test_sample_exact_output_hash_pinned():
      "1aa225911cc6cc80397e3c94a371a0b73818b70748bff6c5fcd9c7436b2dcc51"),
     (("exact", "--nu", "2", "--n", "6", "--reps", "5", "--seed", "3"),
      "e887895f25e6b6924480748990901fde6b903d2fa4ef9fd616799c3b57a28fa4"),
-], ids=["boltzmann-2-7", "exact-2-6"])
+    (("exact", "--nu", "3/2", "--n", "3", "--reps", "30", "--seed", "5"),
+     "36272741546dd9cfc92edb1408d74f73638e59595414993a1f5a170b0f046be9"),
+    (("mcmc", "--nu", "3/2", "--n", "4", "--steps", "3000", "--reps", "3", "--seed", "4"),
+     "b6fc034d7a5d8903bedd60f4db1ede14f24f168f3c968391fae51a3eea800bc5"),
+    (("mcmc", "--nu", "1/3", "--n", "4", "--steps", "3000", "--reps", "3", "--seed", "4"),
+     "35f806c788945ab900312e58035ca634d7dd34b716f730ba3a06e29458edaeef"),
+    # reaches the insert cases, so it notices a change of peeling-case order
+    (("boltzmann", "--nu", "1/2", "--t", "1/4", "--word", "+", "--series-order", "15",
+      "--reps", "30", "--seed", "5"),
+     "5f3a8faeb80f85845e4fe1a8fdd3628995c5f448a585a2e413cae43ec786f67d"),
+    (("exact", "--nu", "nu_c", "--n", "2", "--reps", "30", "--seed", "8"),
+     "cfe4bcec010a54185443d8ce1dcae0e81ecad804a345da9fd898f6d9d0752c8c"),
+], ids=["boltzmann-2-7", "exact-2-6", "exact-3/2-3", "mcmc-3/2-4", "mcmc-1/3-4",
+        "boltzmann-1/2-15", "exact-nu_c-2"])
 def test_sample_output_hash_pinned(args, result_hash):
     proc = run_cli("sample", *args)
     assert proc.returncode == 0
@@ -220,3 +233,14 @@ def test_report_quick_single_criterion():
     validate(out["result"], "report")
     assert out["result"]["all_passed"] is True
     assert "criterion 1" in out["result"]["text"]
+
+
+def test_a_bug_keeps_its_traceback(monkeypatch):
+    from isingtri import cli
+
+    def broken(args):
+        raise AttributeError("a bug, not a computational failure")
+
+    monkeypatch.setattr(cli, "cmd_critical", broken)
+    with pytest.raises(AttributeError):
+        cli.main(["critical", "--nu", "2"])

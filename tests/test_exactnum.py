@@ -13,8 +13,6 @@ from isingtri.exactnum import (
     cbrt_interval,
     format_scalar,
     parse_scalar,
-    scalar_arith,
-    scalar_cmp,
     scalar_to_float,
     sqrt7_interval,
 )
@@ -39,20 +37,29 @@ def test_lowest_terms():
 def test_demotion_to_rational():
     x = QuadExt(2, 3) - QuadExt(1, 3)
     assert isinstance(x, Fraction) and x == 1
-    assert scalar_arith(QuadExt(0, 1), "mul", QuadExt(0, 1)) == Fraction(7)
+    assert QuadExt(0, 1) * QuadExt(0, 1) == Fraction(7)
 
 
 def test_cmp_examples():
-    assert scalar_cmp(NU_C, Fraction(1)) > 0
-    assert scalar_cmp(NU_C, Fraction(2)) < 0          # 1/sqrt7 < 1 since 7 < 49
-    assert scalar_cmp(QuadExt(0, 0), Fraction(0)) == 0
+    assert NU_C > Fraction(1)
+    assert NU_C < Fraction(2)                         # 1/sqrt7 < 1 since 7 < 49
+    assert QuadExt(0, 0) == Fraction(0) and QuadExt(0, 0) <= 0 <= QuadExt(0, 0)
+
+
+def test_cmp_when_sqrt7_parts_cancel():
+    # the difference demotes to a Fraction, whose sign decides the order
+    a, b = QuadExt(1, 1), QuadExt(2, 1)
+    assert a < b and a <= b and b > a and b >= a
+    assert not (a > b or a >= b or b < a or b <= a)
+    assert a <= QuadExt(1, 1) and a >= QuadExt(1, 1)
+    assert QuadExt(3, 2) > 2 and QuadExt(Fraction(1, 2), 0) < 1
 
 
 def test_division():
     x = NU_C / NU_C
     assert x == 1
     with pytest.raises(DivisionByZero):
-        scalar_arith(Fraction(1), "div", QuadExt(0, 0))
+        Fraction(1) / QuadExt(0, 0)
 
 
 def test_equality_across_types():
@@ -97,17 +104,18 @@ def test_field_axioms_randomized():
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         if y != 0 and not (isinstance(y, Fraction) and y == 0):
-            q = scalar_arith(x, "div", y)
-            assert scalar_arith(q, "mul", y) == x
+            q = x / y
+            assert q * y == x
 
 
 def test_cmp_total_order_randomized():
     rng = random.Random(7)
     for _ in range(200):
         x, y, z = (_random_scalar(rng) for _ in range(3))
-        assert scalar_cmp(x, y) == -scalar_cmp(y, x)
-        if scalar_cmp(x, y) <= 0 and scalar_cmp(y, z) <= 0:
-            assert scalar_cmp(x, z) <= 0
+        assert (x < y) == (y > x) and (x <= y) == (y >= x)
+        assert [x < y, x == y, x > y].count(True) == 1
+        if x <= y and y <= z:
+            assert x <= z
 
 
 def test_parse_format_roundtrip():

@@ -13,7 +13,6 @@ from isingtri.partition import (
     check_U,
     solve_dobrushin,
     solve_U,
-    solve_word,
     sphere_series,
     verify_catalytic,
     zplus_recursion,
@@ -95,7 +94,7 @@ def test_dobrushin_matches_oracle(table9):
                          ("+-", table9.z_plusminus)):
         assert series.with_order(9).eq_to_order(oracle_series(word, NU, 9), 9)
     for p in (3, 4):
-        eng = table9.zplus_slice(p)
+        eng = table9.zplus.extract_tseries(p, 0)
         assert eng.with_order(9).eq_to_order(oracle_series("+" * p, NU, 9), 9)
     # mixed Dobrushin slices beyond the seeds
     assert table9.mixed.extract_tseries(2, 1).with_order(9).eq_to_order(
@@ -168,7 +167,7 @@ def test_solve_word_matches_oracle(table9):
     for p in (3, 4):
         for bits in itertools.product("+-", repeat=p):
             w = "".join(bits)
-            assert solve_word(w, NU, 9, words).eq_to_order(oracle_series(w, NU, 9), 9)
+            assert words.series(w).eq_to_order(oracle_series(w, NU, 9), 9)
 
 
 def test_solve_word_flip_and_pruning(table9):
@@ -323,9 +322,16 @@ def test_seed_missing():
 
 
 def test_word_requires_length_three():
-    words = WordTable(NU, 6, solve_dobrushin(NU, 6))
-    with pytest.raises(ValueError):
-        solve_word("++", NU, 6, words)
+    # words of length 1 and 2 are the Dobrushin seeds, never solved by peeling
+    table = solve_dobrushin(NU, 6)
+    words = WordTable(NU, 6, table)
+    for word, seed in (("+", table.z_plus), ("++", table.z_plusplus), ("+-", table.z_plusminus)):
+        assert words.series(word).coeffs == seed.coeffs
+        flipped = word.translate(str.maketrans("+-", "-+"))
+        assert words.series(flipped).coeffs == seed.coeffs
+    assert not words._states
+    with pytest.raises(SeedMissing):
+        WordTable(NU, 6).series("++")
 
 
 def test_sphere_series(table9):
@@ -356,12 +362,12 @@ def test_zplus_recursion_consistency():
     words = WordTable(NU, 9, table)
     for p in (3, 4, 5):
         zr = zplus_recursion(p, NU, 9, table)
-        assert zr.eq_to_order(table.zplus_slice(p), 9)
+        assert zr.eq_to_order(table.zplus.extract_tseries(p, 0), 9)
         if p <= 4:
             assert zr.eq_to_order(words.series("+" * p), 9)
     # lowest coefficient sits at the simple-boundary minimum
     z3 = zplus_recursion(3, NU, 9, table)
-    assert z3.valuation() == 3
+    assert min(z3.coeffs) == 3
 
 
 def test_zplus_rejects_nu_one():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -51,6 +52,53 @@ def test_pick_weighted_quadratic_field_weights():
         counts[pick_weighted(w, rng)] += 1
     expected = float((1 + 1 / 7 * 7 ** 0.5) / 4)
     assert abs(counts[0] / n - expected) < 0.02
+
+
+def reference_case_weights(words, word, n):
+    """The exact sampler's case weights in Fractions, with their own case list.
+
+    The bare edge (2-gons at size 1), then a new vertex of spin + and of
+    spin -, then the third vertex at boundary corner i = 1..p, listed once
+    per size n1 of the first piece; each weighs nu^[w_1 = w_p] times the
+    coefficients of its pieces, and cases of weight zero are left out.
+    """
+    nu = words.nu
+    mono = nu if word[0] == word[-1] else Fraction(1)
+    coeff = words.coeff
+    out = []
+    if len(word) == 2 and n == 1:
+        out.append((("edge",), (), mono))
+    for c in "+-":
+        w = coeff(c + word, n - 1) if n >= 1 else 0
+        if w:
+            out.append((("insert", c), ((c + word, n - 1),), mono * w))
+    for i in range(1, len(word) + 1):
+        left, right = word[:i], word[i - 1:]
+        for n1 in range(n):
+            w = coeff(left, n1) * coeff(right, n - 1 - n1)
+            if w:
+                out.append((("split", i), ((left, n1), (right, n - 1 - n1)), mono * w))
+    return out
+
+
+@pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(3, 2), Fraction(2), NU_C],
+                         ids=["1/2", "3/2", "2", "nu_c"])
+def test_case_weights_proportional_to_reference(nu):
+    order = 10
+    ctx = ExactSamplerContext(nu, order)
+    for p in range(1, 5):
+        for bits in itertools.product("+-", repeat=p):
+            word = "".join(bits)
+            for n in range(order + 1):
+                ref = reference_case_weights(ctx.words, word, n)
+                terms = ctx.case_weights(word, n)
+                assert [t[:2] for t in terms] == [r[:2] for r in ref]
+                if not ref:
+                    continue
+                weights = [QuadExt(u, v) for *_, (u, v) in terms]
+                scale = ref[0][2] / weights[0]
+                assert scale > 0
+                assert all(r[2] == scale * w for r, w in zip(ref, weights))
 
 
 def test_builder_pieces():
@@ -117,6 +165,16 @@ def test_gibbs_law_flip_invariance():
             vspin[v] = spins[d]
         flipped = CombMap(alpha, sigma, 0, tuple(-s for s in vspin))
         assert law[flipped.canonical_key()] == p
+
+
+@pytest.mark.parametrize("sample", [
+    lambda n: exact_sample(NU, n, seed=1),
+    lambda n: mcmc_sample(NU, n, 10, seed=1),
+], ids=["exact", "mcmc"])
+def test_samplers_reject_empty_sizes(sample):
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            sample(n)
 
 
 def test_fan_construction():
