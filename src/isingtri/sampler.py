@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .criticality import eval_series_interval
 from .exactnum import Interval, Scalar, _make, as_scalar, scalar_to_float
-from .maps.combmap import CombMap, InvalidMap, normalize_word, spins_to_word, word_to_spins
+from .maps.combmap import CombMap, normalize_word, spins_to_word, word_to_spins
 from .partition import WordTable, _integer_weight, peeling_cases, solve_dobrushin
 
 RNG_ALGORITHM = "python-mt19937/sha256-derived-streams"
@@ -509,6 +510,7 @@ class McmcState:
     root: int
     spin: list[int]            # per dart, constant on vertices
     mono: int                  # maintained incrementally
+    vmins: list[int]           # least dart of each vertex, sorted; maintained too
 
     def to_map(self) -> CombMap:
         m = CombMap(tuple(self.alpha), tuple(self.sigma), self.root)
@@ -526,6 +528,14 @@ class McmcState:
                 m += 1
         return m
 
+    def recompute_vmins(self) -> list[int]:
+        # `vertex_of` numbers the vertices in order of their least darts
+        out: list[int] = []
+        for d, v in enumerate(CombMap(tuple(self.alpha), tuple(self.sigma)).vertex_of()):
+            if v == len(out):
+                out.append(d)
+        return out
+
 
 def _fan_triangulation(n: int) -> tuple[list[int], list[int]]:
     """A deterministic 3n-edge type-I triangulation: n-fold loop-with-pendant
@@ -533,38 +543,34 @@ def _fan_triangulation(n: int) -> tuple[list[int], list[int]]:
     repeated vertex insertion into a face (each insertion adds 3 edges)."""
     alpha = [1, 0, 3, 2, 5, 4]
     sigma = [5, 2, 1, 4, 3, 0]   # double triangle: faces (0 2 4) and (1 5 3)
-    m = CombMap(tuple(alpha), tuple(sigma), 0)
-    m.validate("sphere")
     for _ in range(n - 1):
-        alpha, sigma = _insert_vertex_in_face(alpha, sigma)
+        _insert_vertex_in_face(alpha, sigma)
+    CombMap(tuple(alpha), tuple(sigma), 0).validate("sphere")
     return alpha, sigma
 
 
-def _insert_vertex_in_face(alpha: list[int], sigma: list[int]) -> tuple[list[int], list[int]]:
-    """Subdivide the face containing the highest dart into three triangles."""
-    m = CombMap(tuple(alpha), tuple(sigma), 0)
-    face = max(m.faces(), key=lambda cyc: max(cyc))
-    if len(face) != 3:
+def _insert_vertex_in_face(alpha: list[int], sigma: list[int]) -> None:
+    """Split, in place, the face holding the highest dart into three triangles."""
+    face = [len(alpha) - 1]
+    for _ in range(2):
+        face.append(sigma[alpha[face[-1]]])
+    if len(set(face)) != 3 or sigma[alpha[face[2]]] != face[0]:
         raise ValueError("expected a triangle")
-    x, y, z = face
+    i = face.index(min(face))
+    x, y, z = face[i:] + face[:i]
     n = len(alpha)
     px, qx, py, qy, pz, qz = n, n + 1, n + 2, n + 3, n + 4, n + 5
-    alpha = alpha + [qx, px, qy, py, qz, pz]
-    sigma = sigma + [0] * 6
-    # spokes p_* run from the face corners to the new vertex; the three new
-    # triangles are [x, p_y, q_x], [y, p_z, q_y], [z, p_x, q_z]
-    sigma[alpha[x]] = py
-    sigma[py] = y
-    sigma[alpha[y]] = pz
-    sigma[pz] = z
-    sigma[alpha[z]] = px
-    sigma[px] = x
-    sigma[qy] = qx
-    sigma[qx] = qz
-    sigma[qz] = qy
-    mm = CombMap(tuple(alpha), tuple(sigma), 0)
-    mm.validate("sphere")
-    return alpha, sigma
+    alpha += [qx, px, qy, py, qz, pz]
+    sigma += [0] * 6
+    # spokes p_* run from the face corners to the new vertex
+    _set_faces(alpha, sigma, ((x, py, qx), (y, pz, qy), (z, px, qz)))
+
+
+def _set_faces(alpha: list[int], sigma: list[int], faces) -> None:
+    """Rewire sigma so that each given dart cycle is a face (a phi-cycle)."""
+    for face in faces:
+        for u, v in zip(face, face[1:] + face[:1]):
+            sigma[alpha[u]] = v
 
 
 def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int,
@@ -573,14 +579,17 @@ def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int,
     """Heat-bath spins + edge flips + uniform re-rooting targeting the
     size-3n Gibbs law; detailed balance holds move by move (the re-rooting
     proposal is symmetric on rooted maps and the law only depends on the
-    unrooted content, so it mixes rootings without changing the target)."""
+    unrooted content, so it mixes rootings without changing the target).
+    Moves cost time in proportion to the degrees they touch; the map and the
+    maintained counts are fully checked every `validate_every` steps and at
+    the end."""
     if n < 1:
         raise ValueError("a sphere triangulation has 3n >= 3 edges")
     m, den = _weight_ratio(as_scalar(nu))
     rng = random.Random(derive_seed(seed, "mcmc"))
     alpha, sigma = _fan_triangulation(n)
-    state = McmcState(alpha, sigma, 0, [1] * len(alpha), 0)
-    state.mono = state.recompute_mono()
+    state = McmcState(alpha, sigma, 0, [1] * len(alpha), 0, [])
+    state.mono, state.vmins = state.recompute_mono(), state.recompute_vmins()
 
     for step in range(steps):
         _heat_bath(state, m, den, rng)
@@ -589,62 +598,83 @@ def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int,
         if collector is not None:
             collector(state)
         if validate_every and (step + 1) % validate_every == 0:
-            state.to_map().validate("sphere")
-            if state.mono != state.recompute_mono():
-                raise AssertionError("incremental monochromatic count drifted")
-    return state.to_map()
+            _checked_map(state)
+    return _checked_map(state)
 
 
-def _vertices(state: McmcState) -> list[list[int]]:
-    n = len(state.alpha)
-    seen = [False] * n
-    out = []
-    for d in range(n):
-        if seen[d]:
-            continue
-        cyc = []
-        e = d
-        while not seen[e]:
-            seen[e] = True
-            cyc.append(e)
-            e = state.sigma[e]
-        out.append(cyc)
+def _checked_map(state: McmcState) -> CombMap:
+    """The state's map, after a full check of it and of the maintained counts."""
+    m = state.to_map()
+    m.validate("sphere")
+    if state.mono != state.recompute_mono():
+        raise AssertionError("incremental monochromatic count drifted")
+    if state.vmins != state.recompute_vmins():
+        raise AssertionError("incremental vertex index drifted")
+    return m
+
+
+def _vertex_mins(sigma: list[int], darts) -> set[int]:
+    """The least dart of each vertex through `darts`."""
+    out = set()
+    for d in darts:
+        low, e = d, sigma[d]
+        while e != d:
+            if e < low:
+                low = e
+            e = sigma[e]
+        out.add(low)
     return out
 
 
 def _heat_bath(state: McmcState, m: Scalar, den: int, rng: random.Random) -> None:
     """Resample one vertex spin: with nu = m / den, the weights nu^k+ : nu^k-
     of the two spins scale to m^k+ den^k- : m^k- den^k+."""
-    verts = _vertices(state)
-    cyc = verts[rng.randrange(len(verts))]
+    start = state.vmins[rng.randrange(len(state.vmins))]
+    cyc = [start]           # the vertex's darts, from its least one
+    d = state.sigma[start]
+    while d != start:
+        cyc.append(d)
+        d = state.sigma[d]
     darts = set(cyc)
-    k_plus = k_minus = loops = 0
-    for d in cyc:
-        e = state.alpha[d]
-        if e in darts:
-            loops += 1          # counted twice over the cycle
-            continue
-        if state.spin[e] == 1:
-            k_plus += 1
-        else:
-            k_minus += 1
+    # spins across the edges to other vertices: loops stay monochromatic
+    nbrs = [state.spin[state.alpha[d]] for d in cyc if state.alpha[d] not in darts]
+    k_plus = nbrs.count(1)
+    k_minus = len(nbrs) - k_plus
     w_plus = m ** k_plus * den ** k_minus
     w_minus = m ** k_minus * den ** k_plus
     new_spin = 1 if pick_weighted([w_plus, w_minus], rng) == 0 else -1
-    old_spin = state.spin[cyc[0]]
-    if new_spin != old_spin:
-        delta = (k_plus - k_minus) * (1 if new_spin == 1 else -1)
-        state.mono += delta
+    if new_spin != state.spin[cyc[0]]:
+        state.mono += (k_plus - k_minus) * new_spin
         for d in cyc:
             state.spin[d] = new_spin
 
 
+def _flip_edge(alpha: list[int], sigma: list[int],
+               darts: tuple[int, ...]) -> tuple[set[int], set[int]] | None:
+    """Turn the faces (g x1 x2) and (gb y1 y2), darts = (g, x1, x2, gb, y1,
+    y2), into (g y2 x1) and (gb x2 y1), in place.  Faces stay triangles and
+    the map stays connected, so it stays a sphere exactly when V is kept.
+    Only vertices through the six darts change: those of the corners x1, x2,
+    y1, y2, as g and gb lie at y1, x1 before and at x2, y2 after.  Returns
+    their least darts before and after; None, sigma restored, if V changes."""
+    g, x1, x2, gb, y1, y2 = darts
+    corners = (x1, x2, y1, y2)
+    before = _vertex_mins(sigma, corners)
+    saved = [(alpha[u], sigma[alpha[u]]) for u in darts]
+    _set_faces(alpha, sigma, ((g, y2, x1), (gb, x2, y1)))
+    after = _vertex_mins(sigma, corners)
+    if len(after) != len(before):
+        for d, s in saved:
+            sigma[d] = s
+        return None
+    return before, after
+
+
 def _flip_move(state: McmcState, m: Scalar, den: int, rng: random.Random) -> None:
     """Flip one edge, accepted with probability min(1, nu^delta), nu = m / den."""
-    n = len(state.alpha)
-    g = rng.randrange(n)
-    gb = state.alpha[g]
-    sigma, alpha = state.sigma, state.alpha
+    sigma, alpha, spin = state.sigma, state.alpha, state.spin
+    g = rng.randrange(len(alpha))
+    gb = alpha[g]
 
     def phi(d):
         return sigma[alpha[d]]
@@ -657,28 +687,21 @@ def _flip_move(state: McmcState, m: Scalar, den: int, rng: random.Random) -> Non
     y2 = phi(y1)
     if {g, x1, x2} == {gb, y1, y2}:
         return  # the two sides of the edge bound the same face: unflippable
-    spin_c = state.spin[x2]
-    spin_d = state.spin[y2]
-    spin_a = state.spin[y1]     # tail of g
-    spin_b = state.spin[x1]     # head of g
-    delta = (1 if spin_c == spin_d else 0) - (1 if spin_a == spin_b else 0)
+    # g runs a -> b, from the tail of y1 to that of x1; after the flip it
+    # runs c -> d, from the tail of x2 to that of y2
+    delta = (spin[x2] == spin[y2]) - (spin[y1] == spin[x1])
     if delta and not (bernoulli(m, den, rng) if delta > 0 else bernoulli(den, m, rng)):
         return
-    saved = (list(sigma), state.mono)
-    # faces after the flip: [g, y2, x1] and [gb, x2, y1], with g now c -> d
-    for cycle in ((g, y2, x1), (gb, x2, y1)):
-        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-            sigma[alpha[u]] = v
-    state.spin[g] = spin_c
-    state.spin[gb] = spin_d
+    changed = _flip_edge(alpha, sigma, (g, x1, x2, gb, y1, y2))
+    if changed is None:
+        return
+    spin[g], spin[gb] = spin[x2], spin[y2]
     state.mono += delta
-    try:
-        state.to_map().validate("sphere")
-    except InvalidMap:
-        state.sigma[:] = saved[0]
-        state.mono = saved[1]
-        state.spin[g] = spin_a
-        state.spin[gb] = spin_b
+    before, after = changed
+    for d in before - after:
+        del state.vmins[bisect_left(state.vmins, d)]
+    for d in after - before:
+        insort(state.vmins, d)
 
 
 # ---------------------------------------------------------------------------

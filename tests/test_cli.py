@@ -110,8 +110,14 @@ def test_sample_exact_output_hash_pinned():
      "5f3a8faeb80f85845e4fe1a8fdd3628995c5f448a585a2e413cae43ec786f67d"),
     (("exact", "--nu", "nu_c", "--n", "2", "--reps", "30", "--seed", "8"),
      "cfe4bcec010a54185443d8ce1dcae0e81ecad804a345da9fd898f6d9d0752c8c"),
+    # large maps with hubs: many flips and vertex-index updates
+    (("mcmc", "--nu", "2", "--n", "30", "--steps", "5000", "--reps", "2", "--seed", "11"),
+     "f78727ba49c63d2be5834afc8f6612b6b467528424fd4285cd3155cdc9a85667"),
+    # QuadExt weights in both Markov-chain moves
+    (("mcmc", "--nu", "nu_c", "--n", "3", "--steps", "400", "--reps", "2", "--seed", "9"),
+     "23b7e79a60245bfd4c740dacbffb710764514c01f63753bd3fa27119d382605a"),
 ], ids=["boltzmann-2-7", "exact-2-6", "exact-3/2-3", "mcmc-3/2-4", "mcmc-1/3-4",
-        "boltzmann-1/2-15", "exact-nu_c-2"])
+        "boltzmann-1/2-15", "exact-nu_c-2", "mcmc-2-30", "mcmc-nu_c-3"])
 def test_sample_output_hash_pinned(args, result_hash):
     proc = run_cli("sample", *args)
     assert proc.returncode == 0

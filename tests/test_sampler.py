@@ -5,11 +5,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingtri.acceptance import gibbs_law
 from isingtri.criticality import critical_point
 from isingtri.exactnum import Interval, NU_C, QuadExt
-from isingtri.maps.combmap import CombMap
+from isingtri.maps.combmap import CombMap, InvalidMap
 from isingtri.partition import solve_dobrushin, WordTable
 from isingtri.sampler import (
     BoltzmannContext,
@@ -20,6 +21,8 @@ from isingtri.sampler import (
     _attach_split,
     _edge_piece,
     _fan_triangulation,
+    _flip_edge,
+    _vertex_mins,
     boltzmann_sample,
     collect_stats,
     ball_face_counts,
@@ -189,6 +192,95 @@ def test_mcmc_preserves_structure_and_bookkeeping():
     final = mcmc_sample(NU, 2, 3000, seed=42, validate_every=500)
     final.validate("sphere")
     assert final.n_edges == 6
+
+
+def _least_darts(sigma):
+    """The least dart of each sigma-cycle, in increasing order."""
+    seen = set()
+    out = []
+    for d in range(len(sigma)):
+        if d not in seen:
+            out.append(d)
+            while d not in seen:
+                seen.add(d)
+                d = sigma[d]
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32), steps=st.integers(0, 300),
+       pick=st.integers(0, 10**6))
+def test_local_flip_test_matches_full_validation(n, seed, steps, pick):
+    # the chain's vertex index is a fresh least-dart walk after every step
+    last = {}
+
+    def collector(state):
+        assert state.vmins == _least_darts(state.sigma)
+        last["state"] = state
+
+    mcmc_sample(NU, n, steps, seed=seed, validate_every=0, collector=collector)
+    if steps:
+        alpha, sigma = last["state"].alpha, list(last["state"].sigma)
+    else:
+        alpha, sigma = _fan_triangulation(n)
+
+    def phi(d):
+        return sigma[alpha[d]]
+
+    g = pick % len(alpha)
+    gb = alpha[g]
+    darts = (g, phi(g), phi(phi(g)), gb, phi(gb), phi(phi(gb)))
+    if set(darts[:3]) == set(darts[3:]):
+        return
+    _, x1, x2, _, y1, y2 = darts
+    rewired = list(sigma)
+    for face in ((g, y2, x1), (gb, x2, y1)):
+        for u, v in zip(face, face[1:] + face[:1]):
+            rewired[alpha[u]] = v
+    try:
+        CombMap(tuple(alpha), tuple(rewired), 0).validate("sphere")
+        valid = True
+    except InvalidMap:
+        valid = False
+
+    work = list(sigma)
+    changed = _flip_edge(alpha, work, darts)
+    assert (changed is not None) == valid
+    if changed is None:
+        assert work == sigma
+    else:
+        assert work == rewired
+        before, after = changed
+        vmins = set(_least_darts(sigma))
+        assert before <= vmins
+        assert sorted((vmins - before) | after) == _least_darts(rewired)
+
+
+def test_local_vertex_count_sees_a_split_cycle():
+    joined = [1, 2, 3, 0]           # one vertex (0 1 2 3)
+    split = [1, 0, 3, 2]            # two vertices (0 1) and (2 3)
+    assert _vertex_mins(joined, (0, 2)) == {0}
+    assert _vertex_mins(split, (0, 2)) == {0, 2}
+    # on the double triangle, faces (0 2 4) and (1 5 3), the triple (1 3 5)
+    # runs the wrong way round: rewiring it as a face splits a vertex, so the
+    # flip is refused and sigma is restored
+    alpha, sigma = _fan_triangulation(1)
+    work = list(sigma)
+    assert _flip_edge(alpha, work, (0, 2, 4, 1, 3, 5)) is None
+    assert work == sigma
+
+
+def test_mcmc_validates_the_map_only_at_build_and_end(monkeypatch):
+    calls = []
+    validate = CombMap.validate
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.n_edges)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(CombMap, "validate", counting)
+    mcmc_sample(NU, 8, 500, seed=1, validate_every=0)
+    assert calls == [24, 24]        # the start map and the returned map
 
 
 def test_mcmc_spin_marginal_at_nu_one():
