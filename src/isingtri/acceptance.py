@@ -40,7 +40,7 @@ from .partition import (
     verify_catalytic,
     zplus_recursion,
 )
-from .sampler import ExactSamplerContext, exact_sample, mcmc_sample
+from .sampler import ExactSamplerContext, exact_sample, mcmc_sample, spun_map
 
 
 @dataclass
@@ -356,18 +356,23 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     steps = 20_000 if ctx.quick else 120_000
     law1 = gibbs_law(nu, 1)
 
-    counts: dict = {}
+    raw: dict = {}
     burn = steps // 10
 
     seen = {"step": 0}
 
     def collector(state):
+        # count raw states; each distinct one is canonicalised once below
         seen["step"] += 1
         if seen["step"] > burn:
-            key = state.to_map().canonical_key()
-            counts[key] = counts.get(key, 0) + 1
+            key = (tuple(state.alpha), tuple(state.sigma), state.root, tuple(state.spin))
+            raw[key] = raw.get(key, 0) + 1
 
     mcmc_sample(nu, 1, steps, seed=20240601, collector=collector)
+    counts: dict = {}
+    for state, n in raw.items():
+        key = spun_map(*state).canonical_key()
+        counts[key] = counts.get(key, 0) + n
     n_obs = steps - burn
     tv = float(sum(abs(Fraction(counts.get(k, 0), n_obs) - p) for k, p in law1.items())) / 2
     tv += sum(v for k, v in counts.items() if k not in law1) / n_obs / 2

@@ -118,12 +118,7 @@ class _Piece:
     spin: list[int]
 
     def to_map(self) -> CombMap:
-        m = CombMap(tuple(self.alpha), tuple(self.sigma), self.root)
-        vo = m.vertex_of()
-        spins = [0] * (max(vo) + 1)
-        for d, v in enumerate(vo):
-            spins[v] = self.spin[d]
-        return CombMap(m.alpha, m.sigma, m.root, tuple(spins))
+        return spun_map(self.alpha, self.sigma, self.root, self.spin)
 
     def root_face_cycle(self) -> list[int]:
         start = self.alpha[self.root]
@@ -503,6 +498,16 @@ def boltzmann_sample(omega: str, nu: Scalar, ctx: BoltzmannContext, seed: int,
 # Markov chain sampler
 # ---------------------------------------------------------------------------
 
+def spun_map(alpha, sigma, root: int, spin) -> CombMap:
+    """The spin-decorated map of darts `alpha`, `sigma`, `root` and per-dart `spin`."""
+    m = CombMap(tuple(alpha), tuple(sigma), root)
+    vo = m.vertex_of()
+    spins = [0] * (max(vo) + 1)
+    for d, v in enumerate(vo):
+        spins[v] = spin[d]
+    return CombMap(m.alpha, m.sigma, m.root, tuple(spins))
+
+
 @dataclass
 class McmcState:
     alpha: list[int]
@@ -513,12 +518,7 @@ class McmcState:
     vmins: list[int]           # least dart of each vertex, sorted; maintained too
 
     def to_map(self) -> CombMap:
-        m = CombMap(tuple(self.alpha), tuple(self.sigma), self.root)
-        vo = m.vertex_of()
-        spins = [0] * (max(vo) + 1)
-        for d, v in enumerate(vo):
-            spins[v] = self.spin[d]
-        return CombMap(m.alpha, m.sigma, m.root, tuple(spins))
+        return spun_map(self.alpha, self.sigma, self.root, self.spin)
 
     def recompute_mono(self) -> int:
         m = 0

@@ -7,7 +7,10 @@ Arithmetic truncates at the minimum order of the operands.
 
 `solve_fixed_point` turns a t-contracting update rule into an order-by-order
 solver: starting from zero, each application of the rule freezes at least one
-more t-layer, and stabilization is verified at the end.
+more t-layer, and stabilization is verified at the end.  No production engine
+calls it: `partition` solves every series layer by layer.  It remains here as
+the Picard reference that the tests check those engines against, and because
+the benchmark tracer (`perfbench/traced.py`) wraps it by name.
 """
 
 from __future__ import annotations

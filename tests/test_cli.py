@@ -76,7 +76,12 @@ def test_coeffs_json_and_rerun_bit_identical():
      "fd674630a790f45924a5b12a773b2953a18bd2c7548fa9936b722f2c5d41a364"),
     (("--nu", "nu_c", "--target", "word:+-+-", "--order", "14"),
      "61ca5584daf442800bf5ee549ac214720b1bbdfefa692e8cbd7790ff60261050"),
-], ids=["sphere-nu_c-25", "sphere-1-39", "zplus6-2-24", "word-2-15", "word-nu_c-14"])
+    (("--nu", "nu_c", "--target", "U", "--order", "60"),
+     "37c63f4e367c11d38f86db01011957429b8a90b32dd368e0224c9701ae8bcf3e"),
+    (("--nu", "1/2", "--target", "U", "--order", "90"),
+     "f1d020feca18c0461b89e1bc3f80383fb85dd654f8dc058f08c61387e1ed3141"),
+], ids=["sphere-nu_c-25", "sphere-1-39", "zplus6-2-24", "word-2-15", "word-nu_c-14",
+        "U-nu_c-60", "U-1/2-90"])
 def test_coeffs_output_hash_pinned(args, result_hash):
     proc = run_cli("coeffs", *args)
     assert proc.returncode == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from isingtri import partition
+from isingtri import partition, series
 from isingtri.exactnum import NU_C
 from isingtri.maps import oracle_series, oracle_sphere
 from isingtri.partition import (
@@ -285,11 +285,17 @@ def test_word_table_size_budget():
         words.coeff("+++", 13)
 
 
-def test_word_table_does_not_use_picard(monkeypatch):
+def refuse_picard(monkeypatch):
+    """Make every call of the Picard solver fail, by either import path."""
     def refuse(spec, order):
-        raise AssertionError("the word table must not run the Picard solver")
+        raise AssertionError("the production engines must not run the Picard solver")
 
-    monkeypatch.setattr(partition, "solve_fixed_point", refuse)
+    monkeypatch.setattr(series, "solve_fixed_point", refuse)
+    monkeypatch.setattr(partition, "solve_fixed_point", refuse, raising=False)
+
+
+def test_word_table_does_not_use_picard(monkeypatch):
+    refuse_picard(monkeypatch)
     words = WordTable(NU, 9, solve_dobrushin(NU, 9))
     assert words.series("++-+").coeff(5) > 0
 
@@ -355,6 +361,49 @@ def test_solve_U():
         assert u.coeff(3) == 4 * nu * nu
         assert all(k % 3 == 0 for k in u.support())
         assert check_U(u, 15).is_zero()
+
+
+def reference_solve_U(nu, order):
+    """U by Picard iteration of U = 32 nu^3 t^3 (1 - 2U)^2 / (lin(U) quart(U)).
+
+    The factors are written out here apart from `partition`, so a slip in the
+    production equation cannot hide in the reference too.
+    """
+    def update(state, work):
+        u = state["U"]
+        u2 = u * u
+        lin = u.scale(1 + nu) - TSeries.monomial(nu, work, 0, Fraction(2))
+        quart = (u2 * u).scale(8 * nu * (1 + nu) ** 2) - u2.scale((11 * nu + 13) * (nu + 1)) \
+            + u.scale(2 * (nu + 3) * (2 * nu + 1)) - TSeries.monomial(nu, work, 0, 4 * nu)
+        one_minus_2u = TSeries.monomial(nu, work, 0) - u.scale(Fraction(2))
+        rhs = (one_minus_2u * one_minus_2u * (lin * quart).inverse()).scale(32 * nu ** 3).shift(3)
+        return {"U": rhs}
+
+    spec = FixedPointSpec(zero={"U": TSeries.zero(nu, 0)}, update=update, min_gain=3)
+    return solve_fixed_point(spec, order)["U"]
+
+
+@pytest.mark.parametrize("nu, order", [
+    *itertools.product([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), NU_C],
+                       [0, 1, 2, 4, 15, 31]),
+    (NU_C, 60),
+])
+def test_solve_U_matches_picard_reference(nu, order):
+    u = solve_U(nu, order)
+    ref = reference_solve_U(nu, order)
+    assert u.order == ref.order == order
+    assert u.coeffs == ref.coeffs
+
+
+def test_solve_U_does_not_use_picard(monkeypatch):
+    refuse_picard(monkeypatch)
+    assert check_U(solve_U(NU_C, 31)).is_zero()
+
+
+@pytest.mark.parametrize("nu", [Fraction(0), Fraction(-1), 1 - NU_C])
+def test_solve_U_rejects_nonpositive_nu(nu):
+    with pytest.raises(ValueError):
+        solve_U(nu, 6)
 
 
 def test_zplus_recursion_consistency():
