@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .criticality import (
@@ -43,26 +42,28 @@ from .partition import (
 from .sampler import ExactSamplerContext, exact_sample, mcmc_sample, spun_map
 
 
-@dataclass
 class CriterionResult:
-    cid: int
-    name: str
-    passed: bool
-    details: dict
-    runtime_s: float
+    """One criterion's verdict, measured quantities and runtime."""
+
+    def __init__(self, cid: int, name: str, passed: bool, details: dict, runtime_s: float):
+        self.cid = cid
+        self.name = name
+        self.passed = passed
+        self.details = details
+        self.runtime_s = runtime_s
 
     def to_json(self) -> dict:
         return {"id": self.cid, "name": self.name, "passed": self.passed,
                 "runtime_s": round(self.runtime_s, 2), "details": self.details}
 
 
-@dataclass
 class AcceptanceContext:
     """Caches for the expensive shared computations."""
 
-    quick: bool = False
-    _tables: dict = field(default_factory=dict)
-    _crits: dict = field(default_factory=dict)
+    def __init__(self, quick: bool = False):
+        self.quick = quick
+        self._tables: dict = {}
+        self._crits: dict = {}
 
     def table(self, nu, order) -> DobrushinTable:
         key = (format_scalar(nu), order)

@@ -5,6 +5,10 @@ full parameter set, library version, seeds, wall-clock time and a sha256 of
 the canonically serialized result payload.  Re-running the same command
 reproduces the result hash bit for bit (samplers included: all randomness is
 seed-derived).
+
+`acceptance` is the one module imported inside its subcommand (`report`):
+no other subcommand uses it, and every command pays for what this module
+imports at start-up.  Every engine module is imported here, up front.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .acceptance import AcceptanceContext, run_acceptance
 from .criticality import (
     critical_point,
     decay_exponent,
@@ -77,8 +80,7 @@ def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None) ->
         path.write_text(json.dumps(result, indent=2) + "\n")
         Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     else:
-        json.dump({"manifest": manifest, "result": result}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps({"manifest": manifest, "result": result}, indent=2) + "\n")
 
 
 def _interval_json(iv: Interval) -> list:
@@ -300,6 +302,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .acceptance import run_acceptance
+
     t0 = time.time()
     which = [int(x) for x in args.criteria.split(",")] if args.criteria else None
     results = run_acceptance(which, quick=args.quick)

@@ -18,7 +18,6 @@ rigorous for the given entry intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import (
@@ -147,19 +146,19 @@ def decay_exponent(nu: Scalar) -> Fraction:
     return Fraction(7, 3) if nu == NU_C else Fraction(5, 2)
 
 
-@dataclass
 class CriticalData:
     """Regime, singularity location and derived constants for one weight."""
 
-    nu: Scalar
-    regime: str                      # subcritical_P2 | supercritical_P1 | critical
-    rho: Interval
-    rho_exact: Scalar | None         # set when rho lies in the working field
-    t_nu: Interval
-    ratio_estimate: Interval | None = None
-    selection_margin: float | None = None
-    nu_c: QuadExt = field(default_factory=lambda: NU_C)
-    y_c: QuadExt = field(default_factory=lambda: Y_C)
+    def __init__(self, nu: Scalar, regime: str, rho: Interval, rho_exact: Scalar | None,
+                 t_nu: Interval, ratio_estimate: Interval | None = None,
+                 selection_margin: float | None = None):
+        self.nu = nu
+        self.regime = regime                  # subcritical_P2 | supercritical_P1 | critical
+        self.rho = rho
+        self.rho_exact = rho_exact            # set when rho lies in the working field
+        self.t_nu = t_nu
+        self.ratio_estimate = ratio_estimate
+        self.selection_margin = selection_margin
 
     @property
     def alpha(self) -> Fraction:
@@ -325,12 +324,14 @@ def eval_at_tnu(series: TSeries, crit: CriticalData,
 # coefficient asymptotics from the series themselves
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AsymptoticFit:
-    growth: Interval                  # estimate of rho^-1 = t_nu^-3
-    alpha: Interval                   # polynomial decay exponent
-    kappa: Interval                   # multiplicative constant
-    diagnostics: dict
+    """Growth rate, decay exponent and constant fitted to series coefficients."""
+
+    def __init__(self, growth: Interval, alpha: Interval, kappa: Interval, diagnostics: dict):
+        self.growth = growth              # estimate of rho^-1 = t_nu^-3
+        self.alpha = alpha                # polynomial decay exponent
+        self.kappa = kappa                # multiplicative constant
+        self.diagnostics = diagnostics
 
     def to_json(self) -> dict:
         return {
@@ -455,13 +456,13 @@ def estimate_asymptotics(series: TSeries, crit: CriticalData,
 TYPE_ORDER = ("+", "++", "W++", "-+", "W-+")
 
 
-@dataclass
 class MeanMatrix:
     """Mean offspring counts for the root-degree-dominating branching process."""
 
-    nu: Scalar
-    entries: list[list[Interval]]
-    inputs: dict
+    def __init__(self, nu: Scalar, entries: list[list[Interval]], inputs: dict):
+        self.nu = nu
+        self.entries = entries
+        self.inputs = inputs
 
     def to_json(self) -> dict:
         return {

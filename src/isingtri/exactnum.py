@@ -27,6 +27,18 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def sign_sqrt7(a, b) -> int:
+    """Sign of a + b*sqrt(7) for rational a and b (ints or Fractions),
+    decided by comparing a^2 against 7 b^2 when the signs differ."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa if a * a > 7 * b * b else sb     # never equal: sqrt7 is irrational
+
+
 class QuadExt:
     """An element a + b*sqrt(7) of the real quadratic field Q(sqrt(7))."""
 
@@ -122,19 +134,8 @@ class QuadExt:
     # -- exact order ----------------------------------------------------
 
     def sign(self) -> int:
-        """Sign of a + b*sqrt(7), decided by comparing a^2 against 7 b^2."""
-        sa = _sign(self._a)
-        sb = _sign(self._b)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # opposite signs: |a| vs |b| sqrt7  <=>  a^2 vs 7 b^2
-        if self._a * self._a > 7 * self._b * self._b:
-            return sa
-        return sb
+        """Sign of a + b*sqrt(7)."""
+        return sign_sqrt7(self._a, self._b)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

@@ -15,7 +15,6 @@ See CONVENTIONS.md for how this anchoring was validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 PLUS = 1
@@ -48,14 +47,39 @@ class InvalidMap(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class CombMap:
-    """A rooted map: dart permutations, root dart and optional vertex spins."""
+    """A rooted map: dart permutations, root dart and optional vertex spins.
 
-    alpha: tuple[int, ...]
-    sigma: tuple[int, ...]
-    root: int = 0
-    spins: tuple[int, ...] | None = None   # indexed by vertex id
+    Equality and hashing are by value over (alpha, sigma, root, spins).  The
+    vertex table and the face list are computed on first use and kept: a map
+    is never mutated.
+    """
+
+    __slots__ = ("alpha", "sigma", "root", "spins", "_vertex_of", "_faces")
+
+    def __init__(self, alpha: Sequence[int], sigma: Sequence[int], root: int = 0,
+                 spins: Sequence[int] | None = None):
+        self.alpha = tuple(alpha)
+        self.sigma = tuple(sigma)
+        self.root = root
+        self.spins = None if spins is None else tuple(spins)   # indexed by vertex id
+        self._vertex_of: tuple[int, ...] | None = None
+        self._faces: tuple[tuple[int, ...], ...] | None = None
+
+    def _key(self) -> tuple:
+        return self.alpha, self.sigma, self.root, self.spins
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CombMap:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"CombMap(alpha={self.alpha!r}, sigma={self.sigma!r}, "
+                f"root={self.root!r}, spins={self.spins!r})")
 
     @property
     def n_darts(self) -> int:
@@ -69,38 +93,43 @@ class CombMap:
 
     def vertex_of(self) -> tuple[int, ...]:
         """Dart -> vertex id; vertices numbered by least contained dart order."""
-        n = self.n_darts
-        out = [-1] * n
-        vid = 0
-        for d in range(n):
-            if out[d] >= 0:
-                continue
-            e = d
-            while out[e] < 0:
-                out[e] = vid
-                e = self.sigma[e]
-            vid += 1
-        return tuple(out)
+        if self._vertex_of is None:
+            sigma = self.sigma
+            out = [-1] * len(sigma)
+            vid = 0
+            for d in range(len(sigma)):
+                if out[d] >= 0:
+                    continue
+                e = d
+                while out[e] < 0:
+                    out[e] = vid
+                    e = sigma[e]
+                vid += 1
+            self._vertex_of = tuple(out)
+        return self._vertex_of
 
     def n_vertices(self) -> int:
         return max(self.vertex_of()) + 1 if self.n_darts else 0
 
-    def faces(self) -> list[list[int]]:
+    def faces(self) -> tuple[tuple[int, ...], ...]:
         """Cycles of phi = sigma o alpha, each listed from its least dart."""
-        n = self.n_darts
-        seen = [False] * n
-        out = []
-        for d in range(n):
-            if seen[d]:
-                continue
-            cyc = []
-            e = d
-            while not seen[e]:
-                seen[e] = True
-                cyc.append(e)
-                e = self.sigma[self.alpha[e]]
-            out.append(cyc)
-        return out
+        if self._faces is None:
+            alpha, sigma = self.alpha, self.sigma
+            n = len(alpha)
+            seen = [False] * n
+            out = []
+            for d in range(n):
+                if seen[d]:
+                    continue
+                cyc = []
+                e = d
+                while not seen[e]:
+                    seen[e] = True
+                    cyc.append(e)
+                    e = sigma[alpha[e]]
+                out.append(tuple(cyc))
+            self._faces = tuple(out)
+        return self._faces
 
     def root_face(self) -> list[int]:
         """Darts of the face to the right of the root edge, in phi order."""
@@ -138,13 +167,16 @@ class CombMap:
                 m += 1
         return m
 
-    def with_spins(self, spins: Sequence[int]) -> "CombMap":
-        return CombMap(self.alpha, self.sigma, self.root, tuple(spins))
+    def with_spins(self, spins: Iterable[int]) -> "CombMap":
+        """The same rooted map with new vertex spins; derived tables carry over."""
+        out = CombMap(self.alpha, self.sigma, self.root, tuple(spins))
+        out._vertex_of, out._faces = self._vertex_of, self._faces
+        return out
 
     def flipped_spins(self) -> "CombMap":
         if self.spins is None:
             raise InvalidMap("map carries no spins")
-        return CombMap(self.alpha, self.sigma, self.root, tuple(-s for s in self.spins))
+        return self.with_spins(-s for s in self.spins)
 
     # -- validation ---------------------------------------------------------
 
@@ -155,30 +187,34 @@ class CombMap:
         degree p, others triangles) or "nonsimple" (root face of degree p
         with no simplicity requirement).
         """
-        n = self.n_darts
+        alpha, sigma = self.alpha, self.sigma
+        n = len(alpha)
         if n == 0 or n % 2:
             raise InvalidMap("dart count must be positive and even")
-        if sorted(self.alpha) != list(range(n)) or sorted(self.sigma) != list(range(n)):
+        darts = list(range(n))
+        if sorted(alpha) != darts or sorted(sigma) != darts:
             raise InvalidMap("alpha and sigma must be permutations of the darts")
-        for d in range(n):
-            if self.alpha[d] == d or self.alpha[self.alpha[d]] != d:
+        for d in darts:
+            e = alpha[d]
+            if e == d or alpha[e] != d:
                 raise InvalidMap("alpha must be a fixed-point-free involution")
         if not 0 <= self.root < n:
             raise InvalidMap("root dart out of range")
 
-        # connectivity under <alpha, sigma>
+        # connectivity under <alpha, sigma>: the loop also visits what it appends
         seen = [False] * n
-        stack = [self.root]
         seen[self.root] = True
-        count = 1
-        while stack:
-            d = stack.pop()
-            for e in (self.alpha[d], self.sigma[d]):
-                if not seen[e]:
-                    seen[e] = True
-                    count += 1
-                    stack.append(e)
-        if count != n:
+        reached = [self.root]
+        for d in reached:
+            e = alpha[d]
+            if not seen[e]:
+                seen[e] = True
+                reached.append(e)
+            e = sigma[d]
+            if not seen[e]:
+                seen[e] = True
+                reached.append(e)
+        if len(reached) != n:
             raise InvalidMap("map is not connected")
 
         faces = self.faces()
@@ -188,13 +224,13 @@ class CombMap:
         if V - E + F != 2:
             raise InvalidMap(f"genus is not 0 (V={V}, E={E}, F={F})")
 
-        root_face = set(self.root_face())
+        # faces are listed from their least darts: the root face's is unique
+        root_face = self.root_face()
+        root_least = min(root_face)
         for cyc in faces:
-            if set(cyc) == root_face:
-                continue
-            if len(cyc) != 3:
+            if len(cyc) != 3 and cyc[0] != root_least:
                 raise InvalidMap(f"inner face of degree {len(cyc)}")
-        rf_len = len(self.root_face())
+        rf_len = len(root_face)
         if kind == "sphere":
             if rf_len != 3:
                 raise InvalidMap("sphere triangulation with non-triangular root face")
@@ -204,8 +240,8 @@ class CombMap:
             if rf_len != p:
                 raise InvalidMap(f"root face has degree {rf_len}, expected {p}")
             if kind == "pgon":
-                bverts = self.boundary_vertices()
-                if len(set(bverts)) != p:
+                vo = self.vertex_of()
+                if len({vo[d] for d in root_face}) != p:
                     raise InvalidMap("root face boundary is not simple")
         else:
             raise ValueError(f"unknown kind {kind!r}")

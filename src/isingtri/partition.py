@@ -26,7 +26,6 @@ solver `series.solve_fixed_point`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import QuadExt, Scalar, _make, as_scalar, format_scalar
@@ -46,22 +45,17 @@ def _inv(s: Scalar) -> Scalar:
 # the Dobrushin system: mixed words +^p -^q with two catalytic variables
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DobrushinTable:
     """Joint solution of the two peeling equations, with extracted slices."""
 
-    nu: Scalar
-    order: int
-    mixed: BivSeries          # S(x, y): words +^p -^q with p, q >= 1
-    zplus: BivSeries          # Z+(x): pure words +^p, stored at y-degree 0
-    z_plus: TSeries = field(init=False)        # Z_+  = [x] Z+(x)
-    z_plusplus: TSeries = field(init=False)    # Z_++ = [x^2] Z+(x)
-    z_plusminus: TSeries = field(init=False)   # Z_+- = [x y] S(x, y)
-
-    def __post_init__(self) -> None:
-        self.z_plus = self.zplus.extract_tseries(1, 0)
-        self.z_plusplus = self.zplus.extract_tseries(2, 0)
-        self.z_plusminus = self.mixed.extract_tseries(1, 1)
+    def __init__(self, nu: Scalar, order: int, mixed: BivSeries, zplus: BivSeries):
+        self.nu = nu
+        self.order = order
+        self.mixed = mixed                                  # S(x, y): words +^p -^q, p, q >= 1
+        self.zplus = zplus                                  # Z+(x): words +^p, at y-degree 0
+        self.z_plus = zplus.extract_tseries(1, 0)           # Z_+  = [x] Z+(x)
+        self.z_plusplus = zplus.extract_tseries(2, 0)       # Z_++ = [x^2] Z+(x)
+        self.z_plusminus = mixed.extract_tseries(1, 1)      # Z_+- = [x y] S(x, y)
 
 
 def _integer_weight(nu: Scalar) -> tuple[tuple[int, int], int]:
@@ -505,12 +499,14 @@ def _catalytic_combination(v: BivSeries, z1: TSeries, z2: TSeries) -> BivSeries:
     )
 
 
-@dataclass
 class CatalyticReport:
-    nu: Scalar
-    order: int
-    degenerate: bool
-    residual: BivSeries
+    """The one-catalytic-variable equation's residual at one nu and order."""
+
+    def __init__(self, nu: Scalar, order: int, degenerate: bool, residual: BivSeries):
+        self.nu = nu
+        self.order = order
+        self.degenerate = degenerate
+        self.residual = residual
 
     @property
     def ok(self) -> bool:
@@ -592,12 +588,14 @@ def zplus_recursion(p: int, nu: Scalar, order: int, table: DobrushinTable) -> TS
 # identities against the non-simple-boundary series
 # ---------------------------------------------------------------------------
 
-@dataclass
 class IdentityResult:
-    name: str
-    ok: bool
-    checked_to: int
-    first_fail: int | None = None
+    """One series identity, checked through `checked_to`."""
+
+    def __init__(self, name: str, ok: bool, checked_to: int, first_fail: int | None = None):
+        self.name = name
+        self.ok = ok
+        self.checked_to = checked_to
+        self.first_fail = first_fail
 
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok, "checked_to": self.checked_to,

@@ -18,13 +18,13 @@ its seed; replicas derive independent streams by hashing.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .criticality import eval_series_interval
-from .exactnum import Interval, Scalar, _make, as_scalar, scalar_to_float
+from .exactnum import Interval, QuadExt, Scalar, _make, as_scalar, scalar_to_float, sign_sqrt7
 from .maps.combmap import CombMap, normalize_word, spins_to_word, word_to_spins
 from .partition import WordTable, _integer_weight, peeling_cases, solve_dobrushin
 
@@ -58,11 +58,15 @@ def pick_weighted(weights: list[Scalar], rng: random.Random) -> int:
     A uniform variate on [0, total) is represented as the dyadic interval
     [lo, lo+1)/2^k * total and refined one random bit at a time until it fits
     inside a single cumulative segment; all comparisons are exact.  Scaling
-    every weight by one positive constant changes no choice.
+    every weight by one positive constant changes no choice, so weights that
+    are not all integers are first scaled to integer pairs (u, v) standing for
+    u + v sqrt7 (`_pick_integer_pairs`), with the same random bits and result.
     """
-    cum: list[Scalar] = []
-    acc: Scalar = 0
+    cum: list[int] = []
+    acc = 0
     for w in weights:
+        if type(w) is not int:
+            return _pick_integer_pairs(weights, rng)
         if w < 0:
             raise ValueError("negative weight")
         acc = acc + w
@@ -87,6 +91,42 @@ def pick_weighted(weights: list[Scalar], rng: random.Random) -> int:
         k += 1
 
 
+def _pick_integer_pairs(weights: list[Scalar], rng: random.Random) -> int:
+    """`pick_weighted` for Fraction or Q(sqrt7) weights.
+
+    Every weight is scaled by the one common denominator D of its parts, to
+    the integer pair (u, v) of D w = u + v sqrt7; the refinement then makes
+    the same comparisons as `pick_weighted`, as integer sign tests.
+    """
+    parts = [(w.a, w.b) if isinstance(w, QuadExt) else (w, 0) for w in weights]
+    den = math.lcm(*(x.denominator for ab in parts for x in ab))
+    cum: list[tuple[int, int]] = []
+    acc_u = acc_v = 0
+    for a, b in parts:
+        u, v = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        if sign_sqrt7(u, v) < 0:
+            raise ValueError("negative weight")
+        acc_u += u
+        acc_v += v
+        cum.append((acc_u, acc_v))
+    tot_u, tot_v = acc_u, acc_v
+    if sign_sqrt7(tot_u, tot_v) <= 0:
+        raise ValueError("all weights vanish")
+    lo = 0
+    k = 0
+    while True:
+        lo_u, lo_v = lo * tot_u, lo * tot_v
+        # first segment whose upper cumulative strictly exceeds lo * total
+        for i, (cu, cv) in enumerate(cum):
+            du, dv = (cu << k) - lo_u, (cv << k) - lo_v
+            if sign_sqrt7(du, dv) > 0:
+                if sign_sqrt7(du - tot_u, dv - tot_v) >= 0:
+                    return i
+                break
+        lo = (lo << 1) | rng.getrandbits(1)
+        k += 1
+
+
 def bernoulli(num: Scalar, den: Scalar, rng: random.Random) -> bool:
     """True with exact probability min(1, num / den), for num, den > 0."""
     if num >= den:
@@ -104,18 +144,19 @@ def _weight_ratio(nu: Scalar) -> tuple[Scalar, int]:
 # dart-level builder for peeling reconstructions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _Piece:
     """A triangulation of the p-gon under construction.
 
-    Spins are stored per dart (constant on each vertex); `boundary` caches
-    the root-face cycle in phi order, starting at alpha[root].
+    Spins are stored per dart (constant on each vertex).
     """
 
-    alpha: list[int]
-    sigma: list[int]
-    root: int
-    spin: list[int]
+    __slots__ = ("alpha", "sigma", "root", "spin")
+
+    def __init__(self, alpha: list[int], sigma: list[int], root: int, spin: list[int]):
+        self.alpha = alpha
+        self.sigma = sigma
+        self.root = root
+        self.spin = spin
 
     def to_map(self) -> CombMap:
         return spun_map(self.alpha, self.sigma, self.root, self.spin)
@@ -216,14 +257,8 @@ def _compact(alpha: list[int], sigma: list[int], spin: list[int], root: int,
     """Drop deleted darts and renumber; returns the rooted map with spins."""
     keep = [d for d in range(len(alpha)) if d not in dead]
     new = {d: i for i, d in enumerate(keep)}
-    a = tuple(new[alpha[d]] for d in keep)
-    s = tuple(new[sigma[d]] for d in keep)
-    m = CombMap(a, s, new[root])
-    vo = m.vertex_of()
-    spins = [0] * (max(vo) + 1)
-    for d in keep:
-        spins[vo[new[d]]] = spin[d]
-    return CombMap(a, s, new[root], tuple(spins))
+    return spun_map([new[alpha[d]] for d in keep], [new[sigma[d]] for d in keep],
+                    new[root], [spin[d] for d in keep])
 
 
 def _close_2gon(piece: _Piece) -> CombMap:
@@ -271,33 +306,38 @@ def _close_loop_pair(p1: _Piece, p2: _Piece) -> CombMap:
 # decision-tree sampling shared by the exact and Boltzmann samplers
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _Node:
-    case: tuple
-    children: list
+    """One peeling step of a decision tree: its word, its case from
+    `peeling_cases` and the nodes of the case's child words, in order."""
+
+    __slots__ = ("word", "case", "children")
+
+    def __init__(self, word: str, case: tuple = (), children: list | None = None):
+        self.word = word
+        self.case = case
+        self.children = children if children is not None else []
 
 
-def _build_from_tree(root: _Node, word: str) -> _Piece:
+def _build_from_tree(root: _Node) -> _Piece:
     # iterative post-order construction
     done: dict[int, _Piece] = {}
-    stack: list[tuple[_Node, str, bool]] = [(root, word, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
-        node, w, expanded = stack.pop()
+        node, expanded = stack.pop()
         if expanded:
             kids = [done.pop(id(ch)) for ch in node.children]
             if node.case[0] == "edge":
-                s = word_to_spins(w)
+                s = word_to_spins(node.word)
                 done[id(node)] = _edge_piece(s[0], s[1])
             elif node.case[0] == "insert":
                 done[id(node)] = _attach_new_vertex(kids[0])
             else:
                 done[id(node)] = _attach_split(kids[0], kids[1])
         else:
-            stack.append((node, w, True))
-            for ch, cw in zip(node.children, dict(peeling_cases(w))[node.case]):
-                stack.append((ch, cw, False))
+            stack.append((node, True))
+            stack.extend((ch, False) for ch in node.children)
     piece = done[id(root)]
-    if piece.word() != normalize_word(word):
+    if piece.word() != normalize_word(root.word):
         raise AssertionError("reconstructed boundary word mismatch")
     return piece
 
@@ -313,37 +353,45 @@ class ExactSamplerContext:
     state c(word, n) = d^n [t^n] Z_word, read before the root-edge factor:
     they differ from the case probabilities times [t^n] Z_word by one
     positive constant per (word, n), and the choice is scale-invariant.
+    Each (word, n) is tabulated once, when it is first drawn from, after
+    checking that its terms sum to the state.
     """
 
     def __init__(self, nu: Scalar, max_edges: int):
         self.nu = as_scalar(nu)
         self.order = max_edges
         self.words = WordTable(self.nu, self.order, solve_dobrushin(self.nu, self.order))
+        self._cases: dict[tuple[str, int], tuple[list[tuple], list[Scalar]]] = {}
 
-    def case_weights(self, word: str, n: int) -> list[tuple]:
-        """The nonzero terms (case, ((child, size), ...), (u, v)) of c(word, n).
+    def case_weights(self, word: str, n: int) -> tuple[list[tuple], list[Scalar]]:
+        """The nonzero terms (case, ((child, size), ...), (u, v)) of c(word, n),
+        and their weights u + v sqrt7 as exact scalars.
 
         A split case is listed once per size of its first child; the
         children of every case share the size n - 1 (the bare edge has
         size 1).  See `WordTable.terms`.
         """
-        return list(self.words.terms(word, n))
+        entry = self._cases.get((word, n))
+        if entry is None:
+            words = self.words
+            terms = list(words.terms(word, n))
+            if words.total(word, terms) != words.state(word, n):
+                raise AssertionError("peeling case weights do not sum to the coefficient")
+            entry = self._cases[word, n] = (terms, [_make(*c) for *_, c in terms])
+        return entry
 
 
 def _sample_gon_exact(ctx: ExactSamplerContext, word: str, n: int,
                       rng: random.Random) -> _Piece:
-    words = ctx.words
-    if words.state(word, n) == (0, 0):
+    if ctx.words.state(word, n) == (0, 0):
         raise CoefficientsMissing(f"[t^{n}] Z_{word} = 0")
 
     def make_node(w: str, size: int) -> _Node:
-        terms = ctx.case_weights(w, size)
-        if words.total(w, terms) != words.state(w, size):
-            raise AssertionError("peeling case weights do not sum to the coefficient")
-        case, children, _ = terms[pick_weighted([_make(*c) for *_, c in terms], rng)]
-        return _Node(case, [make_node(cw, cn) for cw, cn in children])
+        terms, weights = ctx.case_weights(w, size)
+        case, children, _ = terms[pick_weighted(weights, rng)]
+        return _Node(w, case, [make_node(cw, cn) for cw, cn in children])
 
-    return _build_from_tree(make_node(word, n), word)
+    return _build_from_tree(make_node(word, n))
 
 
 def exact_sample(nu: Scalar, n: int, seed: int,
@@ -475,21 +523,21 @@ def boltzmann_sample(omega: str, nu: Scalar, ctx: BoltzmannContext, seed: int,
     rng = random.Random(derive_seed(seed, "boltzmann"))
     steps = 0
 
-    root = _Node((), [])
-    work = [(root, omega)]
+    root = _Node(omega)
+    work = [root]
     while work:
-        node, w = work.pop()
+        node = work.pop()
         steps += 1
         if steps > step_cap:
             raise StepCapExceeded(f"peeling exceeded {step_cap} steps")
-        if len(w) > ctx.length_cap:
+        if len(node.word) > ctx.length_cap:
             raise StepCapExceeded(f"boundary length exceeded {ctx.length_cap}")
-        cases, weights = ctx.case_distribution(w)
+        cases, weights = ctx.case_distribution(node.word)
         node.case, children = cases[pick_weighted(weights, rng)]
-        node.children = [_Node((), []) for _ in children]
-        work.extend(zip(node.children, children))
+        node.children = [_Node(w) for w in children]
+        work.extend(node.children)
 
-    m = _build_from_tree(root, omega).to_map()
+    m = _build_from_tree(root).to_map()
     m.validate("pgon", len(omega))
     return m
 
@@ -499,23 +547,29 @@ def boltzmann_sample(omega: str, nu: Scalar, ctx: BoltzmannContext, seed: int,
 # ---------------------------------------------------------------------------
 
 def spun_map(alpha, sigma, root: int, spin) -> CombMap:
-    """The spin-decorated map of darts `alpha`, `sigma`, `root` and per-dart `spin`."""
-    m = CombMap(tuple(alpha), tuple(sigma), root)
+    """The spin-decorated map of darts `alpha`, `sigma`, `root` and per-dart
+    `spin`; it keeps the vertex table it reads the spins through."""
+    m = CombMap(alpha, sigma, root)
     vo = m.vertex_of()
     spins = [0] * (max(vo) + 1)
     for d, v in enumerate(vo):
         spins[v] = spin[d]
-    return CombMap(m.alpha, m.sigma, m.root, tuple(spins))
+    return m.with_spins(spins)
 
 
-@dataclass
 class McmcState:
-    alpha: list[int]
-    sigma: list[int]
-    root: int
-    spin: list[int]            # per dart, constant on vertices
-    mono: int                  # maintained incrementally
-    vmins: list[int]           # least dart of each vertex, sorted; maintained too
+    """The Markov chain's map, with per-dart spins and two maintained counts."""
+
+    __slots__ = ("alpha", "sigma", "root", "spin", "mono", "vmins")
+
+    def __init__(self, alpha: list[int], sigma: list[int], root: int, spin: list[int],
+                 mono: int, vmins: list[int]):
+        self.alpha = alpha
+        self.sigma = sigma
+        self.root = root
+        self.spin = spin          # per dart, constant on vertices
+        self.mono = mono          # monochromatic edges
+        self.vmins = vmins        # least dart of each vertex, sorted
 
     def to_map(self) -> CombMap:
         return spun_map(self.alpha, self.sigma, self.root, self.spin)
@@ -531,7 +585,7 @@ class McmcState:
     def recompute_vmins(self) -> list[int]:
         # `vertex_of` numbers the vertices in order of their least darts
         out: list[int] = []
-        for d, v in enumerate(CombMap(tuple(self.alpha), tuple(self.sigma)).vertex_of()):
+        for d, v in enumerate(CombMap(self.alpha, self.sigma).vertex_of()):
             if v == len(out):
                 out.append(d)
         return out
@@ -545,7 +599,7 @@ def _fan_triangulation(n: int) -> tuple[list[int], list[int]]:
     sigma = [5, 2, 1, 4, 3, 0]   # double triangle: faces (0 2 4) and (1 5 3)
     for _ in range(n - 1):
         _insert_vertex_in_face(alpha, sigma)
-    CombMap(tuple(alpha), tuple(sigma), 0).validate("sphere")
+    CombMap(alpha, sigma, 0).validate("sphere")
     return alpha, sigma
 
 
@@ -708,14 +762,16 @@ def _flip_move(state: McmcState, m: Scalar, den: int, rng: random.Random) -> Non
 # statistics
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SampleStats:
-    count: int
-    root_degree: dict[int, int] = field(default_factory=dict)
-    hull_perimeter_1: dict[int, int] = field(default_factory=dict)
-    ball_volumes: dict[int, list[int]] = field(default_factory=dict)
-    mono_fraction: list[float] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    """Empirical local statistics of a list of sampled maps."""
+
+    def __init__(self, count: int, meta: dict | None = None):
+        self.count = count
+        self.root_degree: dict[int, int] = {}
+        self.hull_perimeter_1: dict[int, int] = {}
+        self.ball_volumes: dict[int, list[int]] = {}
+        self.mono_fraction: list[float] = []
+        self.meta = meta if meta is not None else {}
 
     def to_json(self) -> dict:
         return {

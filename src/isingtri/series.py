@@ -10,14 +10,13 @@ solver: starting from zero, each application of the rule freezes at least one
 more t-layer, and stabilization is verified at the end.  No production engine
 calls it: `partition` solves every series layer by layer.  It remains here as
 the Picard reference that the tests check those engines against, and because
-the benchmark tracer (`perfbench/traced.py`) wraps it by name.
+the benchmark tracer (`perfbench/traced.py`) wraps it by name.  Its systems
+are specified by the tests, which hold the spec type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .exactnum import Scalar, as_scalar, format_scalar
 
@@ -339,25 +338,17 @@ class BivSeries:
 # generic order-by-order fixed-point solver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FixedPointSpec:
-    """A t-contracting system F = Phi(F) of named series unknowns.
+def solve_fixed_point(spec, order: int) -> dict:
+    """Solve a t-contracting system F = Phi(F) of named series unknowns to the
+    requested t-order and verify stabilization.
 
-    `zero` maps each unknown name to its zero initialization (a TSeries or
-    BivSeries at order 0).  `update` receives the current iterates, all lifted
-    to the working truncation order, and must return the next iterates at that
-    order.  Every occurrence of an unknown on the right-hand side must carry at
-    least `min_gain` powers of t, which is what makes coefficients below the
-    iteration count final.
+    `spec.zero` maps each unknown name to its zero initialization (a TSeries
+    or BivSeries at order 0).  `spec.update` receives the current iterates,
+    all lifted to the working truncation order, and must return the next
+    iterates at that order.  Every occurrence of an unknown on the right-hand
+    side must carry at least `spec.min_gain` powers of t, which is what makes
+    coefficients below the iteration count final.
     """
-
-    zero: dict[str, TSeries | BivSeries]
-    update: Callable[[dict, int], dict]
-    min_gain: int = 1
-
-
-def solve_fixed_point(spec: FixedPointSpec, order: int) -> dict:
-    """Solve to the requested t-order and verify stabilization."""
     state = {name: z.with_order(0) for name, z in spec.zero.items()}
     steps = (order + spec.min_gain - 1) // spec.min_gain + 1
     for step in range(1, steps + 1):

@@ -145,6 +145,19 @@ def test_benchmark_tracer_finds_its_functions(args, tmp_path):
     assert "sampler.case_weights_calls" in metrics
 
 
+def test_cli_import_loads_the_traced_layers_only():
+    # every command pays for what `isingtri.cli` imports; the tracer needs the engines loaded
+    probe = ("import json, sys, isingtri.cli; loaded = sys.modules; print(json.dumps(["
+             "[m for m in ('dataclasses', 'inspect', 'isingtri.acceptance') if m in loaded], "
+             "[m for m in ('exactnum', 'series', 'partition', 'criticality', 'maps', 'sampler', "
+             "'cli') if 'isingtri.' + m not in loaded]]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    unwanted, missing = json.loads(proc.stdout)
+    assert unwanted == [] and missing == []
+
+
 def test_stats_hash_independent_of_input_path(tmp_path):
     first = tmp_path / "first"
     proc = run_cli("sample", "exact", "--nu", "2", "--n", "1", "--seed", "3",

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingtri.exactnum import NU_C, QuadExt
 from isingtri.maps import (
@@ -173,3 +174,149 @@ def test_monochromatic_count_loops():
     for s in ((1, 1), (1, -1)):
         mm = m.with_spins(s)
         assert mm.monochromatic_count() == (2 if s[0] == s[1] else 1)
+
+
+def test_derived_tables_are_tuples():
+    m = next(enumerate_maps(4, "pgon", 2))
+    assert isinstance(m.vertex_of(), tuple)
+    assert isinstance(m.faces(), tuple)
+    assert all(isinstance(cyc, tuple) for cyc in m.faces())
+    assert m.faces() is m.faces() and m.vertex_of() is m.vertex_of()
+
+
+def reference_validate(m, kind="sphere", p=None):
+    """The multi-pass validator `CombMap.validate` replaced, on its own
+    vertex and face walks: same checks, order and messages."""
+    alpha, sigma, root = m.alpha, m.sigma, m.root
+    n = len(alpha)
+    if n == 0 or n % 2:
+        raise InvalidMap("dart count must be positive and even")
+    if sorted(alpha) != list(range(n)) or sorted(sigma) != list(range(n)):
+        raise InvalidMap("alpha and sigma must be permutations of the darts")
+    for d in range(n):
+        if alpha[d] == d or alpha[alpha[d]] != d:
+            raise InvalidMap("alpha must be a fixed-point-free involution")
+    if not 0 <= root < n:
+        raise InvalidMap("root dart out of range")
+    seen = [False] * n
+    stack = [root]
+    seen[root] = True
+    count = 1
+    while stack:
+        d = stack.pop()
+        for e in (alpha[d], sigma[d]):
+            if not seen[e]:
+                seen[e] = True
+                count += 1
+                stack.append(e)
+    if count != n:
+        raise InvalidMap("map is not connected")
+
+    def cycles(perm):
+        done, out = [False] * n, []
+        for d in range(n):
+            cyc = []
+            while not done[d]:
+                done[d] = True
+                cyc.append(d)
+                d = perm(d)
+            if cyc:
+                out.append(cyc)
+        return out
+
+    vertex_of = [0] * n
+    for v, cyc in enumerate(cycles(lambda d: sigma[d])):
+        for d in cyc:
+            vertex_of[d] = v
+    faces = cycles(lambda d: sigma[alpha[d]])
+    V, E, F = max(vertex_of) + 1, n // 2, len(faces)
+    if V - E + F != 2:
+        raise InvalidMap(f"genus is not 0 (V={V}, E={E}, F={F})")
+    root_face = next(cyc for cyc in faces if alpha[root] in cyc)
+    for cyc in faces:
+        if set(cyc) == set(root_face):
+            continue
+        if len(cyc) != 3:
+            raise InvalidMap(f"inner face of degree {len(cyc)}")
+    rf_len = len(root_face)
+    if kind == "sphere":
+        if rf_len != 3:
+            raise InvalidMap("sphere triangulation with non-triangular root face")
+    elif kind in ("pgon", "nonsimple"):
+        if p is None:
+            raise ValueError("p required for boundary kinds")
+        if rf_len != p:
+            raise InvalidMap(f"root face has degree {rf_len}, expected {p}")
+        if kind == "pgon" and len({vertex_of[d] for d in root_face}) != p:
+            raise InvalidMap("root face boundary is not simple")
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if m.spins is not None and len(m.spins) != V:
+        raise InvalidMap("spin table does not match vertex count")
+
+
+def _sampler_maps():
+    """Spheres from the exact sampler and p-gons (p = 1..4) from its peeling."""
+    from isingtri.sampler import ExactSamplerContext, _sample_gon_exact, exact_sample
+
+    nu = Fraction(2)
+    ctx = ExactSamplerContext(nu, 10)
+    maps = [exact_sample(nu, n, seed, ctx) for n in (1, 2, 3) for seed in range(4)]
+    rng = random.Random(5)
+    for word, size in (("+", 5), ("++", 4), ("+-", 7), ("+-+", 6), ("++--", 8), ("+-+-", 8)):
+        for _ in range(3):
+            maps.append(_sample_gon_exact(ctx, word, size, rng).to_map())
+    return maps
+
+
+SAMPLER_MAPS = _sampler_maps()
+TORUS = CombMap((1, 0, 3, 2), (2, 3, 1, 0), 0)
+
+
+def _disjoint_union(a, b):
+    off = a.n_darts
+    return (list(a.alpha) + [d + off for d in b.alpha],
+            list(a.sigma) + [d + off for d in b.sigma], off)
+
+
+def _join_at_root_faces(a, b, i, j):
+    """Merge a root-face corner of `a` with one of `b` into one vertex: the
+    two root faces become one face, through that vertex twice."""
+    alpha, sigma, off = _disjoint_union(a, b)
+    fa, fb = a.root_face(), b.root_face()
+    e, f = alpha[fa[i % len(fa)]], alpha[fb[j % len(fb)] + off]
+    sigma[e], sigma[f] = sigma[f], sigma[e]
+    return alpha, sigma
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(pick=st.integers(0, len(SAMPLER_MAPS) - 1), other=st.integers(0, len(SAMPLER_MAPS) - 1),
+       mutation=st.sampled_from(["none", "swap-sigma", "break-alpha", "pinch", "component",
+                                 "genus"]),
+       i=st.integers(0, 10**6), j=st.integers(0, 10**6),
+       kind=st.sampled_from(["sphere", "pgon", "nonsimple"]), dp=st.integers(-1, 1),
+       spins=st.booleans())
+def test_validate_matches_reference(pick, other, mutation, i, j, kind, dp, spins):
+    m = SAMPLER_MAPS[pick]
+    alpha, sigma = list(m.alpha), list(m.sigma)
+    n = len(alpha)
+    if mutation == "swap-sigma":
+        sigma[i % n], sigma[j % n] = sigma[j % n], sigma[i % n]
+    elif mutation == "break-alpha":
+        alpha[i % n], alpha[j % n] = alpha[j % n], alpha[i % n]
+    elif mutation == "pinch":
+        alpha, sigma = _join_at_root_faces(m, SAMPLER_MAPS[other], i, j)
+    elif mutation == "component":
+        alpha, sigma, _ = _disjoint_union(m, SAMPLER_MAPS[other])
+    elif mutation == "genus":
+        alpha, sigma = _join_at_root_faces(m, TORUS, i, j)
+    mutant = CombMap(alpha, sigma, m.root, m.spins if spins else None)
+    p = len(mutant.root_face()) + dp if kind != "sphere" else None
+    verdicts = []
+    for check in (lambda: mutant.validate(kind, p), lambda: reference_validate(mutant, kind, p)):
+        try:
+            check()
+            verdicts.append(None)
+        except (InvalidMap, ValueError) as exc:
+            verdicts.append((type(exc), str(exc)))
+    assert verdicts[0] == verdicts[1]

@@ -20,11 +20,12 @@ from isingtri.partition import (
 from isingtri.series import (
     BivSeries,
     DegreeOverflow,
-    FixedPointSpec,
     NotContractive,
     TSeries,
     solve_fixed_point,
 )
+
+from picard_spec import FixedPointSpec
 
 NU = Fraction(3)
 

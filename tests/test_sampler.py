@@ -57,6 +57,42 @@ def test_pick_weighted_quadratic_field_weights():
     assert abs(counts[0] / n - expected) < 0.02
 
 
+def reference_pick_weighted(weights, rng):
+    """`pick_weighted` in the weights' own exact arithmetic, for any scalars."""
+    cum, acc = [], 0
+    for w in weights:
+        acc = acc + w
+        cum.append(acc)
+    lo = k = 0
+    while True:
+        for i, c in enumerate(cum):
+            if (1 << k) * c > lo * acc:
+                if (lo + 1) * acc <= (1 << k) * c:
+                    return i
+                break
+        lo = (lo << 1) | rng.getrandbits(1)
+        k += 1
+
+
+_exact_weights = st.one_of(
+    st.integers(0, 50),
+    st.fractions(min_value=0, max_value=50, max_denominator=60),
+    st.builds(lambda a, b: QuadExt(a, b) if QuadExt(a, b) >= 0 else QuadExt(-a, -b),
+              st.fractions(-20, 20, max_denominator=30),
+              st.fractions(-20, 20, max_denominator=30)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(weights=st.lists(_exact_weights, min_size=1, max_size=6), seed=st.integers(0, 2**32))
+def test_pick_weighted_matches_reference_bit_for_bit(weights, seed):
+    if not sum(weights) > 0:
+        return
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert pick_weighted(weights, rng) == reference_pick_weighted(weights, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+
 def reference_case_weights(words, word, n):
     """The exact sampler's case weights in Fractions, with their own case list.
 
@@ -94,11 +130,11 @@ def test_case_weights_proportional_to_reference(nu):
             word = "".join(bits)
             for n in range(order + 1):
                 ref = reference_case_weights(ctx.words, word, n)
-                terms = ctx.case_weights(word, n)
+                terms, weights = ctx.case_weights(word, n)
                 assert [t[:2] for t in terms] == [r[:2] for r in ref]
+                assert weights == [QuadExt(u, v) for *_, (u, v) in terms]
                 if not ref:
                     continue
-                weights = [QuadExt(u, v) for *_, (u, v) in terms]
                 scale = ref[0][2] / weights[0]
                 assert scale > 0
                 assert all(r[2] == scale * w for r, w in zip(ref, weights))
@@ -385,3 +421,49 @@ def test_ball_monotone_on_samples():
     for i in range(len(maps)):
         seq = [stats.ball_volumes[r][i] for r in range(1, 5)]
         assert all(a <= b for a, b in zip(seq, seq[1:]))
+
+
+def test_case_weight_check_runs_when_an_entry_is_filled(monkeypatch):
+    ctx = ExactSamplerContext(NU, 7)
+    for word in ("++", "+-"):
+        ctx.words.state(word, 7)            # memoise the states before perturbing
+    for k in range(8):
+        ctx.words.state("+", k)
+    terms = WordTable.terms
+
+    def perturbed(self, word, n):
+        out = list(terms(self, word, n))
+        if out:
+            case, children, (u, v) = out[0]
+            out[0] = (case, children, (u + 1, v))
+        return iter(out)
+
+    monkeypatch.setattr(WordTable, "terms", perturbed)
+    with pytest.raises(AssertionError, match="do not sum"):
+        exact_sample(NU, 2, seed=1, ctx=ctx)
+
+
+def test_exact_draws_tabulate_each_case_list_once(monkeypatch):
+    ctx = ExactSamplerContext(NU, 10)
+    drawn, calls = set(), []
+    case_weights, terms = ExactSamplerContext.case_weights, WordTable.terms
+
+    def recording(self, word, n):
+        drawn.add((word, n))
+        return case_weights(self, word, n)
+
+    def counting(self, word, n):
+        calls.append((word, n))
+        return terms(self, word, n)
+
+    monkeypatch.setattr(ExactSamplerContext, "case_weights", recording)
+    monkeypatch.setattr(WordTable, "terms", counting)
+    first = exact_sample(NU, 3, seed=5, ctx=ctx)
+    seen = set(drawn)
+    del calls[:]
+    assert exact_sample(NU, 3, seed=5, ctx=ctx) == first
+    assert calls == []
+    for seed in range(6, 12):
+        exact_sample(NU, 3, seed=seed, ctx=ctx)
+    assert drawn > seen
+    assert not seen & set(calls)

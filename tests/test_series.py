@@ -7,12 +7,13 @@ from isingtri.exactnum import QuadExt
 from isingtri.series import (
     BivSeries,
     DegreeOverflow,
-    FixedPointSpec,
     NotContractive,
     TSeries,
     ValuationError,
     solve_fixed_point,
 )
+
+from picard_spec import FixedPointSpec
 
 NU = Fraction(1)
 
