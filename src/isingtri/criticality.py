@@ -196,7 +196,7 @@ def _ratio_radius_estimate(nu: Scalar, order: int = 33) -> Interval:
     ns = [k / 3.0 for k in ks]
     ratios = [_scalar_ratio_float(series.coeff(a), series.coeff(b))
               for a, b in zip(ks, ks[1:])]
-    accel = _richardson(ns[:-1], ratios, 1.0)
+    accel = [(b * rb - a * ra) / (b - a) for a, b, ra, rb in zip(ns, ns[1:], ratios, ratios[1:])]
     tail = accel[-3:]
     lo, hi = min(tail), max(tail)
     spread = 4 * (hi - lo) + hi * 0.02 + 1e-12
@@ -353,15 +353,6 @@ def _log_scalar(c: Scalar) -> float:
     return math.log(num) - math.log(den)
 
 
-def _richardson(ns: list[float], vals: list[float], theta: float) -> list[float]:
-    """One acceleration step killing an n^-theta error term."""
-    out = []
-    for (n0, v0), (n1, v1) in zip(zip(ns, vals), zip(ns[1:], vals[1:])):
-        w0, w1 = n0 ** theta, n1 ** theta
-        out.append((w1 * v1 - w0 * v0) / (w1 - w0))
-    return out
-
-
 def _solve_linear(rows: list[list[float]], rhs: list[float]) -> list[float]:
     """Solve a square float system by Gaussian elimination with partial pivoting."""
     size = len(rhs)
@@ -379,26 +370,37 @@ def _solve_linear(rows: list[list[float]], rhs: list[float]) -> list[float]:
     return x
 
 
-def _fit_exponent(ns: list[float], ys: list[float], eps: float, m: int) -> float:
-    """alpha of the exact interpolant y = A - alpha log n + sum_{j<=m} b_j n^(-j eps)."""
-    rows = [[1.0, -math.log(n)] + [n ** (-j * eps) for j in range(1, m + 1)] for n in ns]
+def _fit(ns: list[float], ys: list[float], eps: float, m: int, growth: bool) -> float:
+    """The exact interpolant y = A [+ n L] - alpha log n + sum_{j<=m} b_j n^(-j eps)
+    through the points: L if `growth`, else alpha (with no n L term)."""
+    rows = [[1.0] + ([n] if growth else []) + [-math.log(n)]
+            + [n ** (-j * eps) for j in range(1, m + 1)] for n in ns]
     return _solve_linear(rows, ys)[1]
+
+
+def _band(values: list[float]) -> tuple[float, Interval]:
+    """The median of `values` and the band around it reaching the farthest value."""
+    ordered = sorted(values)
+    mid = (ordered[len(ordered) // 2] + ordered[~(len(ordered) // 2)]) / 2
+    half = max(abs(v - mid) for v in values)
+    return mid, Interval(Fraction(mid - half), Fraction(mid + half))
 
 
 def estimate_asymptotics(series: TSeries, crit: CriticalData,
                          burn_in: int = 3) -> AsymptoticFit:
     """Growth rate, exponent and constant from the coefficients.
 
-    The growth rate comes from accelerated coefficient ratios.  The exponent
-    comes from exact fits of
+    Both come from exact fits on consecutive points past the burn-in.  The
+    growth rate is e^L from fits of
 
-        log c_n + n log rho = A - alpha log n + sum_{j=1..m} b_j n^(-j eps)
+        log c_n = A + n L - alpha log n + sum_{j=1..m} b_j n^(-j eps)
 
-    on m + 2 consecutive points (all past the burn-in) ending at each of the
-    last four n, for m = 2..7.  At the critical weight the singular expansion
-    runs in powers of (1 - t^3/rho)^(1/3), so eps = 1/3; off it eps = 1.
-    The alpha band is centred on the median of these fits and reaches the
-    fit farthest from it: a heuristic spread, not an error bound.
+    on the last m + 3 points, m = 1..7; alpha comes from fits with L fixed
+    at -log rho on m + 2 points ending at each of the last four n, m = 2..7.
+    At the critical weight the singular expansion runs in powers of
+    (1 - t^3/rho)^(1/3), so eps = 1/3; off it eps = 1.  Each band is centred
+    on the median of its fits and reaches the fit farthest from it: a
+    heuristic spread, not an error bound.
     """
     ks = series.support()
     if len(ks) < 10:
@@ -413,25 +415,17 @@ def estimate_asymptotics(series: TSeries, crit: CriticalData,
     log_rho = math.log(float(crit.rho.mid))
     ratios = [l1 - l0 for l0, l1 in zip(logs, logs[1:])]          # log(c_{n+1}/c_n)
     growth_raw = [math.exp(r) for r in ratios]
-    growth_acc = _richardson(ns[:-1], growth_raw, 1.0)
-    growth_acc2 = _richardson(ns[:-2], growth_acc, 2.0)
-    g_seq = growth_acc2 if len(growth_acc2) >= 2 else growth_acc
-    growth = Interval(Fraction(min(g_seq[-2:])), Fraction(max(g_seq[-2:])))
+    eps = 1.0 / 3.0 if crit.regime == "critical" else 1.0
+    growth_fits = [[m, math.exp(_fit(ns[-m - 3:], logs[-m - 3:], eps, m, True))]
+                   for m in range(1, min(7, len(ns) - 3) + 1)]
+    _, growth = _band([f[1] for f in growth_fits])
 
     alpha_raw = [-(r + log_rho) / math.log(n1 / n0)
                  for r, n0, n1 in zip(ratios, ns, ns[1:])]
-    eps = 1.0 / 3.0 if crit.regime == "critical" else 1.0
     ys = [l + n * log_rho for l, n in zip(logs, ns)]
-    fits = []
-    for m in range(2, 8):
-        width = m + 2
-        for end in range(max(len(ns) - 3, width), len(ns) + 1):
-            fits.append([m, ns[end - 1],
-                         _fit_exponent(ns[end - width:end], ys[end - width:end], eps, m)])
-    values = sorted(f[2] for f in fits)
-    a_star = (values[len(values) // 2] + values[~(len(values) // 2)]) / 2
-    half = max(abs(f[2] - a_star) for f in fits)
-    alpha = Interval(Fraction(a_star - half), Fraction(a_star + half))
+    fits = [[m, ns[end - 1], _fit(ns[end - m - 2:end], ys[end - m - 2:end], eps, m, False)]
+            for m in range(2, 8) for end in range(max(len(ns) - 3, m + 2), len(ns) + 1)]
+    a_star, alpha = _band([f[2] for f in fits])
 
     kappa_raw = [math.exp(l + n * 3 * math.log(float(crit.t_nu.mid)) + a_star * math.log(n))
                  for l, n in zip(logs, ns)]
@@ -440,7 +434,7 @@ def estimate_asymptotics(series: TSeries, crit: CriticalData,
     diag = {
         "n_points": len(ks),
         "growth_raw_tail": growth_raw[-4:],
-        "growth_accelerated_tail": g_seq[-4:],
+        "growth_fits": growth_fits,
         "alpha_raw_tail": alpha_raw[-4:],
         "alpha_fits": fits,
         "correction_exponent": eps,

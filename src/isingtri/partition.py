@@ -10,8 +10,9 @@ edge, which is the system `solve_dobrushin` solves.  The specializations
 [y] S(x, y) and [x] S(x, y) enter exactly as resolved in CONVENTIONS.md: the
 system reproduces the brute-force oracle through every tested order.
 
-`solve_dobrushin` computes each t-layer once from the layers below it, over
-the integers (rational nu) or Z[sqrt7] (nu in Q(sqrt7)).  `WordTable`
+`solve_dobrushin` computes each t-layer once, in one pass, from the layers
+below it only, over the integers (rational nu) or Z[sqrt7] (nu in Q(sqrt7)),
+forming each S Z+ product once and mirroring S in x and y.  `WordTable`
 computes each (word, size) state once, on demand, over the same rings, from
 the smaller states the root-edge peeling identity reads; a p-gon has at
 least 2p - 3 edges, so states below that size budget are zero and never
@@ -66,7 +67,7 @@ def _integer_weight(nu: Scalar) -> tuple[tuple[int, int], int]:
 
 
 def _dobrushin_terms(M: list, Z: list, k: int, cap: int):
-    """The right-hand terms of t-layer k, read from layers 0..k-1.
+    """The x-side right-hand terms of t-layer k, read from layers 0..k-1.
 
     With nu = m / d as in `_integer_weight`, layer a of M maps (i, j) to the
     pair (u, v) standing for (u + v sqrt7) / d^a = [t^a x^i y^j] S(x, y);
@@ -77,12 +78,12 @@ def _dobrushin_terms(M: list, Z: list, k: int, cap: int):
                + t (S - x [x] S) / x + t (S - y [y] S) / y
         Z+ = nu t x^2 + nu t Z+^2 / x + nu t (Z+ - x [x] Z+) / x + nu t [y] S
 
-    and this yields (0, (i, j), u, v) for each contribution to [x^i y^j] S
-    and (1, i, u, v) for each one to [x^i] Z+, before the factor t or nu t.
-    Pre-division product degrees above `cap` raise DegreeOverflow.
+    and this yields (0, (i, j), u, v) for each x-side contribution to
+    [x^i y^j] S (the y side mirrors it, S being symmetric) and (1, i, u, v)
+    for each one to [x^i] Z+, before the factor t or nu t.  Pre-division
+    product degrees above `cap` raise DegreeOverflow.
     """
     if k == 1:
-        yield 0, (1, 1), 1, 0
         yield 1, 2, 1, 0
     for a in range(k):
         Ma, Za, Zb = M[a], Z[a], Z[k - 1 - a]
@@ -92,16 +93,12 @@ def _dobrushin_terms(M: list, Z: list, k: int, cap: int):
             raise DegreeOverflow(f"a product at t^{k - 1} exceeds degree {cap}")
         for l, (r, s) in Zb.items():
             for (i, j), (p, q) in Ma.items():
-                u, v = p * r + 7 * q * s, p * s + q * r
-                yield 0, (i + l - 1, j), u, v          # S Z+(x) / x
-                yield 0, (i, j + l - 1), u, v          # S Z+(y) / y
+                yield 0, (i + l - 1, j), p * r + 7 * q * s, p * s + q * r     # S Z+(x) / x
             for i, (p, q) in Za.items():
                 yield 1, i + l - 1, p * r + 7 * q * s, p * s + q * r
     for (i, j), (p, q) in M[k - 1].items():
         if i > 1:
             yield 0, (i - 1, j), p, q
-        if j > 1:
-            yield 0, (i, j - 1), p, q
         if j == 1:
             yield 1, i, p, q
     for i, (p, q) in Z[k - 1].items():
@@ -112,9 +109,10 @@ def _dobrushin_terms(M: list, Z: list, k: int, cap: int):
 def _dobrushin_layer(M: list, Z: list, k: int, m: tuple[int, int], d: int, cap: int):
     """t-layer k of S and Z+, scaled by d^k where nu = m / d.
 
-    The factor t of every right-hand term becomes d and nu t becomes m, so
-    the scaled layer is an integer combination of the scaled layers below it
-    and no division ever happens.
+    Layer k of S is T + T^t for the half table T of the x-side terms, plus
+    the seed t x y at k = 1.  The factor t of every term becomes d and nu t
+    becomes m, so the scaled layer is an integer combination of the scaled
+    layers below it and no division ever happens.
     """
     acc: tuple[dict, dict] = ({}, {})
     for which, key, u, v in _dobrushin_terms(M, Z, k, cap):
@@ -124,9 +122,15 @@ def _dobrushin_layer(M: list, Z: list, k: int, m: tuple[int, int], d: int, cap: 
         else:
             c[0] += u
             c[1] += v
+    half, zplus = acc
+    new_m = {(1, 1): (d, 0)} if k == 1 else {}        # the seed t x y; half is empty at k = 1
+    for i, j in half.keys() | {(j, i) for i, j in half}:
+        (u, v), (p, q) = half.get((i, j), (0, 0)), half.get((j, i), (0, 0))
+        if u + p or v + q:
+            new_m[i, j] = (d * (u + p), d * (v + q))
     mu, mv = m
-    new_m = {key: (d * u, d * v) for key, (u, v) in acc[0].items() if u or v}
-    new_z = {key: (mu * u + 7 * mv * v, mv * u + mu * v) for key, (u, v) in acc[1].items() if u or v}
+    new_z = {key: (mu * u + 7 * mv * v, mv * u + mu * v)
+             for key, (u, v) in zplus.items() if u or v}
     return new_m, new_z
 
 
@@ -140,16 +144,16 @@ def _unscaled(layers: list, d: int):
 
 
 def solve_dobrushin(nu: Scalar, order: int) -> DobrushinTable:
-    """Solve the two-equation system to the given t-order, layer by layer.
+    """Solve the two-equation system to the given t-order, in one pass.
 
     Every right-hand term carries a power of t, so t-layer k follows from the
     layers below it: each coefficient is computed once, over Z (rational nu)
     or Z[sqrt7] (nu in Q(sqrt7)) after scaling layer k by d^k, and converted
-    to an exact scalar at the end.  Catalytic degrees are capped at
+    to an exact scalar at the end.  S is mirrored from its x side.  The
+    layer lists grow as layers are solved, so a rule reading layer k or
+    above raises NotContractive.  Catalytic degrees are capped at
     max(order, (order + 7) / 2), which the Euler support bound makes
-    unreachable, so DegreeOverflow only fires on a transcription bug.  The
-    update is then applied once more to the complete table, unsolved layers
-    having started at zero, and NotContractive is raised if any layer moves.
+    unreachable, so DegreeOverflow only fires on a transcription bug.
     """
     nu = as_scalar(nu)
     if not nu > 0:
@@ -158,13 +162,14 @@ def solve_dobrushin(nu: Scalar, order: int) -> DobrushinTable:
         raise ValueError("order must be >= 1")
     cap = max(order, (order + 7) // 2)
     m, d = _integer_weight(nu)
-    M: list[dict] = [{} for _ in range(order + 1)]
-    Z: list[dict] = [{} for _ in range(order + 1)]
+    M, Z = [{}], [{}]                   # t-layer 0 of S and of Z+ is empty
     for k in range(1, order + 1):
-        M[k], Z[k] = _dobrushin_layer(M, Z, k, m, d, cap)
-    for k in range(1, order + 1):
-        if _dobrushin_layer(M, Z, k, m, d, cap) != (M[k], Z[k]):
-            raise NotContractive(f"t-layer {k} failed to stabilize at order {order}")
+        try:
+            new_m, new_z = _dobrushin_layer(M, Z, k, m, d, cap)
+        except IndexError as exc:
+            raise NotContractive(f"t-layer {k} reads a layer not yet solved") from exc
+        M.append(new_m)
+        Z.append(new_z)
     mixed = BivSeries(nu, order, cap, cap)
     mixed.coeffs = {(k, i, j): c for k, (i, j), c in _unscaled(M, d)}
     zplus = BivSeries(nu, order, cap, cap)

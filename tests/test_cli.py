@@ -259,6 +259,14 @@ def test_report_quick_single_criterion():
     assert "criterion 1" in out["result"]["text"]
 
 
+def test_report_quick_passes_every_criterion():
+    proc = run_cli("report", "--quick")
+    assert proc.returncode == 0
+    criteria = json.loads(proc.stdout)["result"]["criteria"]
+    assert [c["id"] for c in criteria] == list(range(1, 12))
+    assert all(c["passed"] for c in criteria)
+
+
 def test_a_bug_keeps_its_traceback(monkeypatch):
     from isingtri import cli
 

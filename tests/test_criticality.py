@@ -106,11 +106,7 @@ def test_asymptotics_on_synthetic_model():
     # c_n = rho^-n n^(-5/2) fitted back to alpha = 2.5 within 0.02 by n = 20
     crit = critical_point(Fraction(1))
     rho = crit.rho.mid
-    coeffs = {}
-    for n in range(1, 21):
-        coeffs[3 * n] = Fraction(1, rho ** n) * Fraction(1, int(n ** 5 * 10 ** 8)) \
-            if False else None
-    # build exactly: c_{3n} = round(rho^-n n^-2.5 * 2^80) / 2^80
+    # c_{3n} is the float rho^-n n^-2.5 as a fraction
     coeffs = {}
     for n in range(1, 21):
         value = float(1 / rho) ** n * n ** -2.5

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from isingtri import partition, series
-from isingtri.exactnum import NU_C
+from isingtri.exactnum import NU_C, format_scalar
 from isingtri.maps import oracle_series, oracle_sphere
 from isingtri.partition import (
     SeedMissing,
@@ -126,11 +128,31 @@ def test_dobrushin_matches_reference_picard_solve(nu):
     zero = {"mixed": BivSeries.zero(nu, 0, d, d), "zplus": BivSeries.zero(nu, 0, d, d)}
     spec = FixedPointSpec(zero=zero, update=lambda state, work: reference_update(nu, work, state))
     ref = solve_fixed_point(spec, order)
+    # the reference builds both sides of the system, so its symmetry is evidence
+    assert ref["mixed"] == ref["mixed"].swap_xy()
     table = solve_dobrushin(nu, order)
     for name, series in (("mixed", table.mixed), ("zplus", table.zplus)):
         assert series == ref[name]
         assert list(series.coeffs) == sorted(series.coeffs)
         assert (series.dx, series.dy) == (ref[name].dx, ref[name].dy)
+
+
+def table_digest(table):
+    """sha256 of the canonical JSON of a table's full `mixed` and `zplus` coefficients."""
+    payload = {name: [[*key, format_scalar(c)] for key, c in sorted(s.coeffs.items())]
+               for name, s in (("mixed", table.mixed), ("zplus", table.zplus))}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("nu, digest", [
+    (Fraction(1, 2), "53893ceb578a6dd9a1e43f40da590668781f1344952b744b0079bd5836ea5b3d"),
+    (Fraction(2), "98b47a67c455f6c5ad99b0239ff6db358e57ac734101d4bdace52bd2ebb589c3"),
+    (NU_C, "48dffe60566532fc7451814e0ad711557e3e6a09e77e8e29569b1fd1580e378e"),
+], ids=["1/2", "2", "nu_c"])
+def test_dobrushin_full_table_pinned(nu, digest):
+    # every entry of S and Z+ to t^40, the p != q entries of S included
+    assert table_digest(solve_dobrushin(nu, 40)) == digest
 
 
 def test_dobrushin_rejects_a_rule_without_its_power_of_t(monkeypatch):
