@@ -241,8 +241,11 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     ac = float(fitc.alpha.mid)
     passed = (abs(a1 - 2.5) <= 0.15 and abs(ac - 7 / 3) <= 0.15
               and ac < a1 - 0.05)
+    # heuristic, outside the gate: whether the nu_c band itself rules out 5/2
+    separates = not fitc.alpha.lo <= Fraction(5, 2) <= fitc.alpha.hi
     return CriterionResult(8, "exponent transition 5/2 vs 7/3", passed,
                            {"alpha_nu1": a1, "alpha_nuc": ac,
+                            "band_separates_regimes": separates,
                             "orders": [n1 - 1, nc - 1],
                             "alpha_band_nu1": fit1.alpha.float_bounds(),
                             "alpha_band_nuc": fitc.alpha.float_bounds(),

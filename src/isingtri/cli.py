@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -31,7 +32,7 @@ from .criticality import (
     spectral_radius,
 )
 from .exactnum import Interval, format_scalar, parse_scalar, scalar_to_float
-from .maps import enumerate_maps, oracle_Q, oracle_series, oracle_sphere
+from .maps import DEFAULT_CAP, enumerate_maps, oracle_Q, oracle_series, oracle_sphere
 from .maps.combmap import normalize_word
 from .partition import (
     WordTable,
@@ -165,13 +166,12 @@ def cmd_verify(args) -> int:
     order = args.order
     table = solve_dobrushin(nu, order + 2)
     rep = verify_catalytic(nu, order, table)
-    oracle_order = min(order, 9)
+    oracle_order = min(order, DEFAULT_CAP)
     words = WordTable(nu, oracle_order, table)
     q_results = [r.to_json() for r in check_q_identities(words)]
     oracle_ok = True
-    import itertools as _it
     for p in (1, 2, 3):
-        for bits in _it.product("+-", repeat=p):
+        for bits in itertools.product("+-", repeat=p):
             w = "".join(bits)
             if not words.series(w).eq_to_order(oracle_series(w, nu, oracle_order), oracle_order):
                 oracle_ok = False
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True)
     p.add_argument("--target", required=True, help="sphere | word:<+->... | q:<p>")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--cap", type=int, default=9)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--dump-maps", action="store_true")
     common(p)
     p.set_defaults(func=cmd_oracle)

@@ -53,6 +53,7 @@ def enumerate_maps(n_edges: int, kind: str, p: int | None = None,
         return
 
     D = 2 * n_edges
+    n_faces = 1 + (D - p_root) // 3
     alpha = tuple(d ^ 1 for d in range(D))
     sigma: list[int | None] = [None] * D
     has_pred = [False] * D
@@ -130,6 +131,8 @@ def enumerate_maps(n_edges: int, kind: str, p: int | None = None,
 
     def emit():
         m = CombMap(alpha, tuple(sigma), 0)  # type: ignore[arg-type]
+        if m.n_vertices() - n_edges + n_faces != 2:
+            return      # disconnected or of positive genus: `validate` would reject it
         try:
             if kind == "sphere":
                 m.validate("sphere")

@@ -1,9 +1,11 @@
 """Brute-force reference coefficients from exhaustive map enumeration.
 
-Coefficients are assembled as histograms over the monochromatic-edge count m:
-for each enumerated map every spin assignment is visited explicitly (2^V full
-assignments, bucketed by the induced boundary pattern), so no generating
-function machinery is shared with the series engines being tested.
+Coefficients are assembled as histograms over the monochromatic-edge count m,
+one enumeration per boundary length: for each rooted map with a degree-p root
+face every spin assignment is visited explicitly, so no generating function
+machinery is shared with the series engines being tested.  All spins free give
+Q_p, and at p = 3 the sphere series (every face of a sphere triangulation is a
+triangle); the maps with a simple root face, by boundary word, give Z_w.
 """
 
 from __future__ import annotations
@@ -27,49 +29,60 @@ def min_degree(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _map_data(kind: str, p: int, n_edges: int, cap: int):
-    """Per-map (edge endpoint pairs, vertex count, boundary vertices)."""
-    out = []
-    for m in enumerate_maps(n_edges, kind, p if kind != "sphere" else None, cap=cap):
-        edges = m.edges_as_vertex_pairs()
-        bverts = m.boundary_vertices() if kind != "sphere" else []
-        out.append((tuple(edges), m.n_vertices(), tuple(bverts)))
-    return tuple(out)
+def _table(p: int, n_edges: int, cap: int):
+    """(free, words, n_maps, n_simple) for the maps with a degree-p root face.
 
-
-@lru_cache(maxsize=None)
-def _histograms(kind: str, p: int, n_edges: int, cap: int):
-    """m-histograms per boundary word (or a single histogram for free spins).
-
-    For kind "pgon" returns {word: [count of assignments with m mono edges]}
-    where interior spins run free and the word fixes the boundary.  For
-    "sphere" and "nonsimple" all spins run free and the key is "".
+    free[m] counts (map, spin assignment) pairs with m monochromatic edges;
+    words[w] the same over the maps whose root face is simple, by boundary
+    word.  Spins run in Gray-code order, so each step flips one vertex and
+    moves m by its non-loop edges (loops are always monochromatic).
     """
-    hists: dict[str, list[int]] = {}
-    for edges, n_vertices, bverts in _map_data(kind, p, n_edges, cap):
-        masks = [(1 << u) | (1 << v) if u != v else 0 for u, v in edges]
-        n_edges_total = len(edges)
-        for s in range(1 << n_vertices):
-            m = n_edges_total - sum((s & mk).bit_count() & 1 for mk in masks)
-            if kind == "pgon":
-                word = spins_to_word(1 if (s >> b) & 1 else -1 for b in bverts)
-            else:
-                word = ""
-            hist = hists.get(word)
-            if hist is None:
-                hist = [0] * (n_edges_total + 1)
-                hists[word] = hist
-            hist[m] += 1
-    return hists
+    width = n_edges + 1
+    free = [0] * width
+    by_word = [0] * (width << p)      # simple root faces: row w for boundary bits w
+    n_maps = n_simple = 0
+    for cmap in enumerate_maps(n_edges, "nonsimple", p, cap=cap):
+        n_maps += 1
+        n_vertices = cmap.n_vertices()
+        bverts = cmap.boundary_vertices()
+        letter = [0] * n_vertices     # each vertex's boundary-word bit, if simple
+        counts = free
+        if len(set(bverts)) == p:
+            cmap.validate("pgon", p)
+            n_simple += 1
+            counts = by_word
+            for i, v in enumerate(bverts):
+                letter[v] = 1 << i
+        nbrs: list[list[int]] = [[] for _ in range(n_vertices)]   # non-loop, with repeats
+        for u, v in cmap.edges_as_vertex_pairs():
+            if u != v:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        s = w = 0                     # spin and boundary-word bits: all minus
+        m = n_edges
+        counts[m] += 1
+        for k in range(1, 1 << n_vertices):
+            v = (k & -k).bit_length() - 1     # the bit Gray codes k - 1 and k differ in
+            plus = 0
+            for u in nbrs[v]:
+                plus += s >> u & 1
+            turn = len(nbrs[v]) - 2 * plus    # the change in m if v turns minus
+            m += turn if s >> v & 1 else -turn
+            s ^= 1 << v
+            w ^= letter[v]
+            counts[w * width + m] += 1
+    words: dict[str, list[int]] = {}
+    for w in range(1 << p if n_simple else 0):
+        row = by_word[w * width:(w + 1) * width]
+        words[spins_to_word(1 if w >> i & 1 else -1 for i in range(p))] = row
+        free = [a + b for a, b in zip(free, row)]
+    return free, words, n_maps, n_simple
 
 
 def _eval_hist(hist: list[int], nu: Scalar) -> Scalar:
     total: Scalar = Fraction(0)
-    power: Scalar = Fraction(1)
-    for count in hist:
-        if count:
-            total = total + count * power
-        power = power * nu
+    for count in reversed(hist):
+        total = total * nu + count
     return total
 
 
@@ -83,8 +96,7 @@ def oracle_series(omega: str, nu: Scalar, order: int, cap: int = DEFAULT_CAP) ->
     for n in range(1, order + 1):
         if (2 * n - p) % 3:
             continue
-        hists = _histograms("pgon", p, n, cap)
-        hist = hists.get(omega)
+        hist = _table(p, n, cap)[1].get(omega)
         if hist is None:
             continue
         c = _eval_hist(hist, nu)
@@ -99,13 +111,8 @@ def oracle_sphere(nu: Scalar, order: int, cap: int = DEFAULT_CAP) -> TSeries:
         raise CapExceeded(f"order {order} exceeds oracle cap {cap}")
     nu = as_scalar(nu)
     coeffs = {}
-    for n in range(3, order + 1):
-        if n % 3:
-            continue
-        hists = _histograms("sphere", 0, n, cap)
-        if "" not in hists:
-            continue
-        c = _eval_hist(hists[""], nu)
+    for n in range(3, order + 1, 3):
+        c = _eval_hist(_table(3, n, cap)[0], nu)
         if c:
             coeffs[n] = c
     return TSeries(nu, order, coeffs)
@@ -120,10 +127,7 @@ def oracle_Q(p: int, nu: Scalar, order: int, cap: int = DEFAULT_CAP) -> TSeries:
     for n in range(1, order + 1):
         if (2 * n - p) % 3:
             continue
-        hists = _histograms("nonsimple", p, n, cap)
-        if "" not in hists:
-            continue
-        c = _eval_hist(hists[""], nu) * Fraction(1, 2)
+        c = _eval_hist(_table(p, n, cap)[0], nu) * Fraction(1, 2)
         if c:
             coeffs[n] = c
     return TSeries(nu, order, coeffs)
@@ -131,4 +135,7 @@ def oracle_Q(p: int, nu: Scalar, order: int, cap: int = DEFAULT_CAP) -> TSeries:
 
 def count_maps(kind: str, p: int, n_edges: int, cap: int = DEFAULT_CAP) -> int:
     """Number of unspun rooted maps of the given kind and size."""
-    return len(_map_data(kind, p, n_edges, cap))
+    if kind not in ("sphere", "pgon", "nonsimple"):
+        raise ValueError(f"unknown kind {kind!r}")
+    _, _, n_maps, n_simple = _table(3 if kind == "sphere" else p, n_edges, cap)
+    return n_simple if kind == "pgon" else n_maps

@@ -240,6 +240,7 @@ class WordTable:
         self._m, self._d = _integer_weight(self.nu)
         self._seeds: dict[str, dict] = {}        # seed series as scaled integer layers
         self._states: dict[tuple[str, int], tuple[int, int] | None] = {}
+        self._read: dict[tuple[str, int], tuple[int, int]] = {}   # _state results, by word
         self._coeffs: dict[tuple[str, int], Scalar] = {}   # coeff() results, by word
         if dobrushin is not None:
             self.seed_from(dobrushin)
@@ -289,19 +290,24 @@ class WordTable:
         return self._state(word, n)
 
     def _state(self, word: str, n: int) -> tuple[int, int]:
-        """`state` without its checks, memoised over flip keys."""
+        """`state` without its checks, memoised by the word as read and over flip keys."""
         if n < 2 * len(word) - 3:
             return 0, 0
+        c = self._read.get((word, n))
+        if c is not None:
+            return c
         key = self._key(word)
         if len(key) <= 2:
-            return self._seeds[key].get(n, (0, 0))
-        state = (key, n)
-        c = self._states.get(state)
-        if c is None:
-            if state in self._states:
-                raise NotContractive(f"state ({key}, t^{n}) is read while it is computed")
-            self._states[state] = None          # open: reading it now is a cycle
-            c = self._states[state] = self._rule(key, n)
+            c = self._seeds[key].get(n, (0, 0))
+        else:
+            state = (key, n)
+            c = self._states.get(state)
+            if c is None:
+                if state in self._states:
+                    raise NotContractive(f"state ({key}, t^{n}) is read while it is computed")
+                self._states[state] = None          # open: reading it now is a cycle
+                c = self._states[state] = self._rule(key, n)
+        self._read[word, n] = c
         return c
 
     def _rule(self, word: str, n: int) -> tuple[int, int]:

@@ -362,6 +362,7 @@ class ExactSamplerContext:
         self.order = max_edges
         self.words = WordTable(self.nu, self.order, solve_dobrushin(self.nu, self.order))
         self._cases: dict[tuple[str, int], tuple[list[tuple], list[Scalar]]] = {}
+        self._roots: dict[int, tuple[list[Scalar], list[int], list[Scalar]]] = {}
 
     def case_weights(self, word: str, n: int) -> tuple[list[tuple], list[Scalar]]:
         """The nonzero terms (case, ((child, size), ...), (u, v)) of c(word, n),
@@ -378,6 +379,26 @@ class ExactSamplerContext:
             if words.total(word, terms) != words.state(word, n):
                 raise AssertionError("peeling case weights do not sum to the coefficient")
             entry = self._cases[word, n] = (terms, [_make(*c) for *_, c in terms])
+        return entry
+
+    def root_classes(self, size: int) -> tuple[list[Scalar], list[int], list[Scalar]]:
+        """A sphere draw's root classes at s = 3n + 1, tabulated once per size:
+        with nu = m / d and S the integer states, the class weights d S(++, s),
+        m S(+-, s), d sum_k S(+, k) S(+, s - k), and the loop split sizes k
+        with their nonzero weights S(+, k) S(+, s - k)."""
+        entry = self._roots.get(size)
+        if entry is None:
+            state = self.words.state
+            m, den = _weight_ratio(self.nu)
+            split_sizes, split_weights = [], []
+            for k1 in range(2, size - 1):
+                c1, c2 = state("+", k1), state("+", size - k1)
+                if c1 != (0, 0) and c2 != (0, 0):
+                    split_sizes.append(k1)
+                    split_weights.append(_make(*c1) * _make(*c2))
+            weights = [den * _make(*state("++", size)), m * _make(*state("+-", size)),
+                       den * sum(split_weights)]
+            entry = self._roots[size] = (weights, split_sizes, split_weights)
         return entry
 
 
@@ -401,9 +422,8 @@ def exact_sample(nu: Scalar, n: int, seed: int,
     sphere relation, the corresponding gon is sampled by recursive peeling
     with coefficient weights, and the boundary is sewn back up.
 
-    With nu = m / d and S the word table's integer states, the three root
-    classes weigh d S(++, s), m S(+-, s) and d sum_k S(+, k) S(+, s - k) at
-    s = 3n + 1: the sphere relation's weights times nu d^s.
+    The three root classes are weighed by `ctx.root_classes(3n + 1)`: the
+    sphere relation's weights times nu d^s.
     """
     if n < 1:
         raise ValueError("a sphere triangulation has 3n >= 3 edges")
@@ -411,21 +431,13 @@ def exact_sample(nu: Scalar, n: int, seed: int,
     size = 3 * n + 1
     if ctx is None:
         ctx = ExactSamplerContext(nu, size)
+    if ctx.nu != nu:
+        raise ValueError("the sampler context was built at another nu")
     if ctx.order < size:
         raise CoefficientsMissing("context solved to insufficient order")
     rng = random.Random(derive_seed(seed, "exact"))
-    m, den = _weight_ratio(nu)
-    state = ctx.words.state
-
-    loop_splits: list[tuple[int, Scalar]] = []
-    for k1 in range(2, size - 1):
-        c1, c2 = state("+", k1), state("+", size - k1)
-        if c1 != (0, 0) and c2 != (0, 0):
-            loop_splits.append((k1, _make(*c1) * _make(*c2)))
-    w_loop = sum(w for _, w in loop_splits)
-
-    case = pick_weighted([den * _make(*state("++", size)), m * _make(*state("+-", size)),
-                          den * w_loop], rng)
+    weights, split_sizes, split_weights = ctx.root_classes(size)
+    case = pick_weighted(weights, rng)
     if case == 0:
         piece = _sample_gon_exact(ctx, "++", size, rng)
         result = _close_2gon(piece)
@@ -433,8 +445,7 @@ def exact_sample(nu: Scalar, n: int, seed: int,
         piece = _sample_gon_exact(ctx, "+-", size, rng)
         result = _close_2gon(piece)
     else:
-        k = pick_weighted([w for _, w in loop_splits], rng)
-        k1 = loop_splits[k][0]
+        k1 = split_sizes[pick_weighted(split_weights, rng)]
         piece1 = _sample_gon_exact(ctx, "+", k1, rng)
         piece2 = _sample_gon_exact(ctx, "+", size - k1, rng)
         result = _close_loop_pair(piece1, piece2)

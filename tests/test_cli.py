@@ -89,6 +89,23 @@ def test_coeffs_output_hash_pinned(args, result_hash):
     assert out["manifest"]["output_hashes"]["result"] == result_hash
 
 
+@pytest.mark.parametrize("args, result_hash", [
+    (("verify", "--nu", "nu_c", "--order", "12"),
+     "12f1d25df73ed4a9dae9789fe70f593a80594ff30c7b1f08b27a67412fda93c0"),
+    (("oracle", "--nu", "nu_c", "--target", "sphere", "--order", "9"),
+     "630c5649d3ef1e5fa139db085fb21fe6bec7258644b4494f37cdeb509f329446"),
+    (("oracle", "--nu", "2", "--target", "q:3", "--order", "9"),
+     "95e93dd553a67eb13fb4236304f7b79ec7e276225ed9331b796f9305ba3e26a5"),
+    (("oracle", "--nu", "nu_c", "--target", "word:++-", "--order", "9"),
+     "d6943f92ed45a6f156f01373642914dd523bbd6e791a08e2afafb4a4bf4d2c1b"),
+], ids=["verify-nu_c-12", "oracle-sphere-nu_c-9", "oracle-q3-2-9", "oracle-word-nu_c-9"])
+def test_oracle_output_hash_pinned(args, result_hash):
+    proc = run_cli(*args)
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["manifest"]["output_hashes"]["result"] == result_hash
+
+
 def test_sample_exact_output_hash_pinned():
     proc = run_cli("sample", "exact", "--nu", "2", "--n", "5", "--reps", "20", "--seed", "7")
     assert proc.returncode == 0

@@ -1,6 +1,10 @@
+import ast
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +18,11 @@ from isingtri.maps import (
     enumerate_maps,
     flip_word,
     min_degree,
+    oracle,
     oracle_Q,
     oracle_series,
     oracle_sphere,
+    spins_to_word,
 )
 
 
@@ -94,6 +100,105 @@ def test_canonical_key_invariant_under_relabeling():
             sigma[perm[d]] = perm[m.sigma[d]]
         relabeled = CombMap(tuple(alpha), tuple(sigma), 0)
         assert relabeled.canonical_key() == m.canonical_key()
+
+
+def reference_histograms(kind, p, n_edges, cap=9):
+    """The two-pass tables the one-enumeration oracle replaced: each kind
+    enumerated on its own, every spin assignment scored edge by edge.
+
+    For "pgon", {word: [count of assignments with m mono edges]}; for
+    "sphere" and "nonsimple", all spins free under the key "".
+    """
+    hists = {}
+    for m in enumerate_maps(n_edges, kind, p if kind != "sphere" else None, cap=cap):
+        edges = m.edges_as_vertex_pairs()
+        bverts = m.boundary_vertices() if kind == "pgon" else []
+        masks = [(1 << u) | (1 << v) if u != v else 0 for u, v in edges]
+        for s in range(1 << m.n_vertices()):
+            mono = len(edges) - sum((s & mk).bit_count() & 1 for mk in masks)
+            word = spins_to_word(1 if (s >> b) & 1 else -1 for b in bverts)
+            hists.setdefault(word, [0] * (len(edges) + 1))[mono] += 1
+    return hists
+
+
+def oracle_histograms(kind, p, n_edges):
+    """The oracle's table read in the reference's per-kind layout."""
+    free, words, n_maps, _ = oracle._table(3 if kind == "sphere" else p, n_edges, 9)
+    if kind == "pgon":
+        return words
+    return {"": free} if n_maps else {}
+
+
+KIND_P = [("sphere", 0)] + [(kind, p) for kind in ("pgon", "nonsimple") for p in (1, 2, 3)]
+
+
+def test_histogram_tables_pinned():
+    # sha256 of every table at p <= 3, n <= 9, measured on the two-pass oracle
+    tables = {f"{kind}/{p}/{n}": oracle_histograms(kind, p, n)
+              for kind, p in KIND_P for n in range(1, 10)}
+    text = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "ad8768097e06f5880197213c04da839148e4b7996e38db9b1e5501c41a213407")
+
+
+@pytest.mark.parametrize("kind, p", KIND_P)
+def test_histograms_match_two_pass_reference(kind, p):
+    for n in range(1, 9):
+        assert oracle_histograms(kind, p, n) == reference_histograms(kind, p, n)
+
+
+def test_map_counts_pinned():
+    counts = {(kind, p): [count_maps(kind, p, n) for n in range(1, 10) if (2 * n - p) % 3 == 0]
+              for kind in ("pgon", "nonsimple") for p in (1, 2, 3)}
+    assert counts == {("pgon", 1): [1, 4, 32], ("pgon", 2): [1, 3, 24], ("pgon", 3): [1, 10, 120],
+                      ("nonsimple", 1): [1, 4, 32], ("nonsimple", 2): [1, 4, 32],
+                      ("nonsimple", 3): [4, 32, 336]}
+
+
+def test_sphere_is_the_nonsimple_triangle():
+    # a sphere triangulation is one rooted on a triangular face: same maps, same order
+    for n in (3, 6, 9):
+        assert list(enumerate_maps(n, "sphere")) == list(enumerate_maps(n, "nonsimple", 3))
+
+
+def test_only_valid_maps_are_validated_and_counted(monkeypatch):
+    # the Euler shortcut leaves `validate` only the maps it keeps, and the
+    # oracle checks every simple-root-face map as a p-gon before counting it
+    calls = []
+    validate = CombMap.validate
+
+    def recording(self, kind="sphere", p=None):
+        calls.append(kind)
+        validate(self, kind, p)
+
+    monkeypatch.setattr(CombMap, "validate", recording)
+    oracle._table.cache_clear()
+    try:
+        for p in (1, 2, 3):
+            for n in range(1, 10):
+                if (2 * n - p) % 3:
+                    continue
+                calls.clear()
+                _, _, n_maps, n_simple = oracle._table(p, n, 9)
+                assert calls.count("nonsimple") == len(calls) - n_simple == n_maps
+                assert calls.count("pgon") == n_simple
+    finally:
+        oracle._table.cache_clear()
+
+
+def test_oracle_imports_no_engine():
+    # the oracle checks the engines, so it must not share their code
+    maps_dir = Path(oracle.__file__).parent
+    for path in maps_dir.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert not {"partition", "sampler", "criticality"} & set(name.split(".")), path
 
 
 def test_seed_oracle_values():

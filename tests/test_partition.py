@@ -308,6 +308,14 @@ def test_word_table_size_budget():
         words.coeff("+++", 13)
 
 
+def test_word_table_takes_no_flip_key_on_a_repeated_read(monkeypatch):
+    words = WordTable(NU, 9, solve_dobrushin(NU, 9))
+    reads = [(w, n) for w in ("+", "-+", "++-", "-+-+") for n in range(10)]
+    first = [words.state(w, n) for w, n in reads]
+    monkeypatch.setattr(WordTable, "_key", lambda self, word: pytest.fail("key taken"))
+    assert [words.state(w, n) for w, n in reads] == first
+
+
 def refuse_picard(monkeypatch):
     """Make every call of the Picard solver fail, by either import path."""
     def refuse(spec, order):
