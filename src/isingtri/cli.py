@@ -28,6 +28,7 @@ from .criticality import (
     decay_exponent,
     estimate_asymptotics,
     eval_at_tnu,
+    eval_series_interval,
     mean_matrix,
     spectral_radius,
 )
@@ -64,7 +65,8 @@ def _result_hash(payload) -> str:
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
-def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None) -> None:
+def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None,
+          extra: dict | None = None) -> None:
     manifest = {
         "subcommand": subcommand,
         "params": params,
@@ -73,6 +75,7 @@ def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None) ->
         "rng_algorithm": RNG_ALGORITHM if seeds else None,
         "wallclock_s": round(time.time() - t0, 3),
         "output_hashes": {"result": _result_hash(result)},
+        **(extra or {}),
     }
     out = getattr(args, "output", None)
     if out:
@@ -246,6 +249,7 @@ def cmd_sample(args) -> int:
     seeds = [derive_seed(args.seed, i) for i in range(args.reps)]
     samples = []
     maps = []
+    extra = None
     if args.mode == "exact":
         ctx = ExactSamplerContext(nu, 3 * args.n + 1)
         for i in range(args.reps):
@@ -256,16 +260,13 @@ def cmd_sample(args) -> int:
             m = mcmc_sample(nu, args.n, args.steps, seed=seeds[i])
             maps.append(m)
     elif args.mode == "boltzmann":
-        if args.t == "t_nu":
-            t_iv = critical_point(nu).t_nu
-        else:
-            t_iv = Interval(Fraction(args.t))
-        bctx = BoltzmannContext(nu, t_iv, series_order=args.series_order,
-                                alpha=decay_exponent(nu))
+        # t_nu is known as an enclosure: draw at its lower end, never above t_nu
+        t = critical_point(nu).t_nu.lo if args.t == "t_nu" else parse_scalar(args.t)
+        bctx = BoltzmannContext(nu, t, series_order=args.series_order)
         word = normalize_word(args.word)
         for i in range(args.reps):
-            m = boltzmann_sample(word, nu, bctx, seed=seeds[i], step_cap=args.step_cap)
-            maps.append(m)
+            maps.append(boltzmann_sample(word, nu, bctx, seed=seeds[i]))
+        extra = {"truncation": _truncated_mass(bctx, word)}
     else:
         raise SystemExit(2)
     for m, s in zip(maps, seeds):
@@ -284,8 +285,21 @@ def cmd_sample(args) -> int:
     _emit(args, "sample", {"mode": args.mode, "nu": args.nu, "n": args.n,
                            "steps": args.steps, "t": args.t, "word": args.word,
                            "seed": args.seed, "reps": args.reps}, result, t0,
-          seeds=seeds)
+          seeds=seeds, extra=extra)
     return 0
+
+
+def _truncated_mass(bctx: BoltzmannContext, word: str) -> dict:
+    """The Boltzmann mass of the sizes past the series order, P(n > N), by the
+    power-law tail model: a heuristic estimate, and below t_nu, where the
+    true tail decays geometrically, an upper estimate."""
+    value = scalar_to_float(bctx.value(word), 96).mid
+    model = eval_series_interval(bctx.words.series(word), scalar_to_float(bctx.t, 96),
+                                 decay_exponent(bctx.nu))
+    tail = max(model.mid - value, 0)
+    return {"t": format_scalar(bctx.t), "series_order": bctx.order,
+            "mass": float(tail / (value + tail)),
+            "estimate": "heuristic: power-law tail model, an upper estimate below t_nu"}
 
 
 def cmd_stats(args) -> int:
@@ -383,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="t_nu")
     p.add_argument("--word", default="++")
     p.add_argument("--series-order", type=int, default=30)
-    p.add_argument("--step-cap", type=int, default=4000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--r-max", type=int, default=4)

@@ -276,9 +276,9 @@ def _tail_sum(alpha: float, n_start: float) -> float:
     return total
 
 
-def eval_series_interval(series: TSeries, t: Interval, alpha: Fraction | float | None,
+def eval_series_interval(series: TSeries, t: Interval, alpha: Fraction | float,
                          bits: int = 96) -> Interval:
-    """Partial sum at an interval point plus (optionally) a fitted tail.
+    """Partial sum at an interval point plus a fitted tail.
 
     The tail models c_k t^k ~ kappa (k/3)^-alpha along the series' support
     class; kappa is fitted on the last support points and the reported band
@@ -292,7 +292,7 @@ def eval_series_interval(series: TSeries, t: Interval, alpha: Fraction | float |
     for k in ks:
         partial = (partial + scalar_to_float(series.coeff(k), bits) * t.powi(k)).rounded(bits)
         partials[k] = partial
-    if alpha is None or len(ks) < 3:
+    if len(ks) < 3:
         return partial
     a = float(alpha)
     estimates = []

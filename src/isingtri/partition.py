@@ -189,7 +189,7 @@ def peeling_cases(word: str) -> list[tuple[tuple, tuple[str, ...]]]:
     ("split", i) for the third vertex at boundary corner i = 1..p (children
     word[:i] and word[i-1:]).  Every case carries one power of t and the
     root-edge weight, nu for a monochromatic root edge (w_1 = w_p) and 1
-    otherwise.  The word table and both samplers read this one list.
+    otherwise.  The word table reads this one list, and the samplers its terms.
     """
     p = len(word)
     cases: list[tuple[tuple, tuple[str, ...]]] = [(("edge",), ())] if p == 2 else []

@@ -1,9 +1,10 @@
 """Random generation of spin-decorated triangulations.
 
-Three samplers share one dart-level builder: an exact finite-size sampler
-(recursive decomposition with size-conditioned coefficient weights), a
-Boltzmann peeling sampler at or below the critical fugacity, and an edge-flip
-plus heat-bath Markov chain for sizes beyond exact reach.
+Two samplers share one dart-level builder: an exact finite-size sampler
+(recursive peeling with size-conditioned coefficient weights) and an
+edge-flip plus heat-bath Markov chain for sizes beyond exact reach.  The
+Boltzmann sampler adds no peeling path of its own: it draws the size from the
+exact series at its fugacity and the map of that size from the exact sampler.
 
 Case selection is exact for exact scalars: a uniform variate is drawn lazily
 bit by bit as a shrinking dyadic interval and compared against cumulative
@@ -21,25 +22,15 @@ import hashlib
 import math
 import random
 from bisect import bisect_left, insort
-from fractions import Fraction
 
-from .criticality import eval_series_interval
-from .exactnum import Interval, QuadExt, Scalar, _make, as_scalar, scalar_to_float, sign_sqrt7
+from .exactnum import QuadExt, Scalar, _make, as_scalar, sign_sqrt7
 from .maps.combmap import CombMap, normalize_word, spins_to_word, word_to_spins
-from .partition import WordTable, _integer_weight, peeling_cases, solve_dobrushin
+from .partition import WordTable, _integer_weight, solve_dobrushin
 
 RNG_ALGORITHM = "python-mt19937/sha256-derived-streams"
 
 
 class CoefficientsMissing(ValueError):
-    pass
-
-
-class StepCapExceeded(RuntimeError):
-    pass
-
-
-class EvaluationTooCoarse(RuntimeError):
     pass
 
 
@@ -303,7 +294,7 @@ def _close_loop_pair(p1: _Piece, p2: _Piece) -> CombMap:
 
 
 # ---------------------------------------------------------------------------
-# decision-tree sampling shared by the exact and Boltzmann samplers
+# decision trees of peeling steps
 # ---------------------------------------------------------------------------
 
 class _Node:
@@ -312,10 +303,10 @@ class _Node:
 
     __slots__ = ("word", "case", "children")
 
-    def __init__(self, word: str, case: tuple = (), children: list | None = None):
+    def __init__(self, word: str, case: tuple, children: list):
         self.word = word
         self.case = case
-        self.children = children if children is not None else []
+        self.children = children
 
 
 def _build_from_tree(root: _Node) -> _Piece:
@@ -461,94 +452,47 @@ def exact_sample(nu: Scalar, n: int, seed: int,
 # Boltzmann sampler
 # ---------------------------------------------------------------------------
 
-class BoltzmannContext:
-    """Evaluations Z_omega(t) for peeling at fugacity t <= t_nu.
+class BoltzmannContext(ExactSamplerContext):
+    """The Boltzmann law at an exact fugacity t > 0, truncated at the series
+    order: a map with boundary word w and n <= order edges has probability
+    nu^mono t^n / value(w).
 
-    Values are the midpoints of `eval_series_interval` on the word-series
-    table: the partial sum at t plus, whenever `alpha` is given, the
-    power-law tail model kappa (k/3)^-alpha fitted to the last coefficients,
-    whatever t is; with `alpha` None, the partial sum alone.  Below t_nu the
-    true tail decays geometrically, so there the model over-estimates it
-    (heuristic).  Case probabilities are renormalized to sum to one; the
-    discrepancy is logged and must stay below `tolerance`.
+    The size n is drawn with weight [t^n] Z_w t^n (`size_weights`), and the
+    map of that size from the size-n Gibbs law by the exact sampler's peeling
+    weights (Duchon-Flajolet-Louchard-Schaeffer), so every probability is
+    exact.  Sizes past the order are left out.
     """
 
-    def __init__(self, nu: Scalar, t: Interval, series_order: int = 30,
-                 alpha: Fraction | None = None, length_cap: int = 12,
-                 tolerance: float = 1e-3):
-        self.nu = as_scalar(nu)
-        self.t = t
-        self.order = series_order
-        self.alpha = alpha
-        self.length_cap = length_cap
-        self.tolerance = tolerance
-        table = solve_dobrushin(self.nu, series_order)
-        self.words = WordTable(self.nu, series_order, table)
-        self._values: dict[str, Fraction] = {}
-        self.max_discrepancy = 0.0
+    def __init__(self, nu: Scalar, t: Scalar, series_order: int = 30):
+        super().__init__(nu, series_order)
+        self.t = as_scalar(t)
+        if not self.t > 0:
+            raise ValueError("the fugacity t must be positive")
+        self._sizes: dict[str, list[Scalar]] = {}
 
-    def value(self, word: str) -> Fraction:
-        v = self._values.get(word)
-        if v is None:
-            series = self.words.series(word)
-            iv = eval_series_interval(series, self.t, self.alpha)
-            v = iv.mid
-            self._values[word] = v
-        return v
+    def size_weights(self, word: str) -> list[Scalar]:
+        """[t^n] Z_word t^n for n = 0..order, tabulated once per word."""
+        weights = self._sizes.get(word)
+        if weights is None:
+            coeff, t = self.words.coeff, self.t
+            weights = self._sizes[word] = [coeff(word, n) * t ** n
+                                           for n in range(self.order + 1)]
+        return weights
 
-    def case_distribution(self, word: str) -> tuple[list[tuple], list[Fraction]]:
-        """Peeling cases with their child words, and their weights at t.
-
-        Insertions past `length_cap` are left out.
-        """
-        mono = self.nu if word[0] == word[-1] else Fraction(1)
-        weight_t = scalar_to_float(mono, 96).mid * self.t.mid
-        cases: list[tuple] = []
-        weights: list[Fraction] = []
-        for case, children in peeling_cases(word):
-            if all(len(w) <= self.length_cap for w in children):
-                weight = weight_t
-                for w in children:
-                    weight = weight * self.value(w)
-                cases.append((case, children))
-                weights.append(weight)
-        total = sum(weights)
-        target = self.value(word)
-        discrepancy = abs(float(total - target)) / abs(float(target))
-        self.max_discrepancy = max(self.max_discrepancy, discrepancy)
-        if discrepancy > self.tolerance:
-            raise EvaluationTooCoarse(
-                f"case weights off by {discrepancy:.2e} at word {word}")
-        # absorb the discrepancy into the largest case
-        imax = max(range(len(weights)), key=lambda i: weights[i])
-        weights[imax] = weights[imax] + (target - total)
-        if weights[imax] < 0:
-            raise EvaluationTooCoarse("renormalization produced a negative weight")
-        return cases, weights
+    def value(self, word: str) -> Scalar:
+        """Z_word(t) truncated at the order, exactly."""
+        return sum(self.size_weights(word))
 
 
-def boltzmann_sample(omega: str, nu: Scalar, ctx: BoltzmannContext, seed: int,
-                     step_cap: int = 4000) -> CombMap:
+def boltzmann_sample(omega: str, nu: Scalar, ctx: BoltzmannContext, seed: int) -> CombMap:
     """A Boltzmann triangulation with boundary word omega at the context's
-    fugacity, by recursive peeling; raises StepCapExceeded on runaway runs."""
+    fugacity: the size from `ctx.size_weights(omega)`, then the shape by
+    exact recursive peeling at that size."""
+    if ctx.nu != as_scalar(nu):
+        raise ValueError("the sampler context was built at another nu")
     rng = random.Random(derive_seed(seed, "boltzmann"))
-    steps = 0
-
-    root = _Node(omega)
-    work = [root]
-    while work:
-        node = work.pop()
-        steps += 1
-        if steps > step_cap:
-            raise StepCapExceeded(f"peeling exceeded {step_cap} steps")
-        if len(node.word) > ctx.length_cap:
-            raise StepCapExceeded(f"boundary length exceeded {ctx.length_cap}")
-        cases, weights = ctx.case_distribution(node.word)
-        node.case, children = cases[pick_weighted(weights, rng)]
-        node.children = [_Node(w) for w in children]
-        work.extend(node.children)
-
-    m = _build_from_tree(root).to_map()
+    n = pick_weighted(ctx.size_weights(omega), rng)
+    m = _sample_gon_exact(ctx, omega, n, rng).to_map()
     m.validate("pgon", len(omega))
     return m
 

@@ -129,7 +129,7 @@ def test_sample_exact_output_hash_pinned():
     # reaches the insert cases, so it notices a change of peeling-case order
     (("boltzmann", "--nu", "1/2", "--t", "1/4", "--word", "+", "--series-order", "15",
       "--reps", "30", "--seed", "5"),
-     "5f3a8faeb80f85845e4fe1a8fdd3628995c5f448a585a2e413cae43ec786f67d"),
+     "848d6d35709dcb994cbaa580954e5d9ec35c578a8abc8ba5d5a0c2ed1ea9ea5e"),
     (("exact", "--nu", "nu_c", "--n", "2", "--reps", "30", "--seed", "8"),
      "cfe4bcec010a54185443d8ce1dcae0e81ecad804a345da9fd898f6d9d0752c8c"),
     # large maps with hubs: many flips and vertex-index updates
@@ -265,6 +265,19 @@ def test_sample_determinism(mode_args):
     b = json.loads(run_cli(*args).stdout)
     assert a["manifest"]["output_hashes"] == b["manifest"]["output_hashes"]
     validate(a["result"], "sample")
+
+
+def test_sample_boltzmann_at_t_nu_reports_its_truncated_mass():
+    proc = run_cli("sample", "boltzmann", "--nu", "2", "--t", "t_nu", "--series-order", "30",
+                   "--reps", "3", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    validate(out["manifest"], "manifest")
+    truncation = out["manifest"]["truncation"]
+    assert truncation["series_order"] == 30
+    assert 0 < truncation["mass"] < 1
+    assert "heuristic" in truncation["estimate"]
+    assert all(s["edges"] <= 30 for s in out["result"]["samples"])
 
 
 def test_report_quick_single_criterion():
