@@ -6,9 +6,10 @@ the canonically serialized result payload.  Re-running the same command
 reproduces the result hash bit for bit (samplers included: all randomness is
 seed-derived).
 
-`acceptance` is the one module imported inside its subcommand (`report`):
-no other subcommand uses it, and every command pays for what this module
-imports at start-up.  Every engine module is imported here, up front.
+Every subcommand reaches the engine layers through their module objects,
+which `isingtri/__init__.py` registers to load on first use, so a command
+compiles and runs only the layers it calls.  `acceptance` is imported inside
+its subcommand (`report`), the only one that uses it.
 """
 
 from __future__ import annotations
@@ -22,39 +23,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-from .criticality import (
-    critical_point,
-    decay_exponent,
-    estimate_asymptotics,
-    eval_at_tnu,
-    eval_series_interval,
-    mean_matrix,
-    spectral_radius,
-)
-from .exactnum import Interval, format_scalar, parse_scalar, scalar_to_float
-from .maps import DEFAULT_CAP, enumerate_maps, oracle_Q, oracle_series, oracle_sphere
-from .maps.combmap import normalize_word
-from .partition import (
-    WordTable,
-    check_q_identities,
-    solve_dobrushin,
-    solve_U,
-    sphere_series,
-    verify_catalytic,
-    zplus_recursion,
-)
-from .sampler import (
-    RNG_ALGORITHM,
-    BoltzmannContext,
-    ExactSamplerContext,
-    boltzmann_sample,
-    collect_stats,
-    derive_seed,
-    exact_sample,
-    mcmc_sample,
-)
-from .maps.combmap import CombMap
+from . import __version__, criticality, exactnum, maps, partition, sampler
+
+# the accepted --target forms of each subcommand that takes one
+TARGETS = {
+    "coeffs": "sphere | word:<+->... | U | zplus:<p>",
+    "oracle": "sphere | word:<+->... | q:<p>",
+    "asymp": "sphere | word:<+->...",
+}
 
 
 def _canonical_json(payload) -> str:
@@ -72,7 +48,7 @@ def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None,
         "params": params,
         "version": __version__,
         "seeds": seeds,
-        "rng_algorithm": RNG_ALGORITHM if seeds else None,
+        "rng_algorithm": sampler.RNG_ALGORITHM if seeds else None,
         "wallclock_s": round(time.time() - t0, 3),
         "output_hashes": {"result": _result_hash(result)},
         **(extra or {}),
@@ -87,16 +63,24 @@ def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None,
         sys.stdout.write(json.dumps({"manifest": manifest, "result": result}, indent=2) + "\n")
 
 
-def _interval_json(iv: Interval) -> list:
+def _interval_json(iv: exactnum.Interval) -> list:
     lo, hi = iv.float_bounds()
     return [lo, hi]
+
+
+def _unknown_target(cmd: str, target: str) -> SystemExit:
+    """Exit 2, as argparse does for a bad argument, naming the accepted forms."""
+    print(f"isingtri {cmd}: error: unknown --target {target!r} (accepted: {TARGETS[cmd]})",
+          file=sys.stderr)
+    return SystemExit(2)
 
 
 def _series_csv(series) -> str:
     lines = ["exponent,coefficient,float"]
     for k in series.support():
         c = series.coeff(k)
-        lines.append(f"{k},{format_scalar(c)},{float(scalar_to_float(c, 64).mid):.17g}")
+        lines.append(f"{k},{exactnum.format_scalar(c)},"
+                     f"{float(exactnum.scalar_to_float(c, 64).mid):.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -106,23 +90,23 @@ def _series_csv(series) -> str:
 
 def cmd_coeffs(args) -> int:
     t0 = time.time()
-    nu = parse_scalar(args.nu)
+    nu = exactnum.parse_scalar(args.nu)
     order = args.order
     target = args.target
     if target == "sphere":
-        series = sphere_series(nu, order)
+        series = partition.sphere_series(nu, order)
     elif target == "U":
-        series = solve_U(nu, order)
+        series = partition.solve_U(nu, order)
     elif target.startswith("word:"):
-        word = normalize_word(target[5:])
-        table = solve_dobrushin(nu, order + 1)
-        series = WordTable(nu, order, table).series(word)
+        word = maps.normalize_word(target[5:])
+        table = partition.solve_dobrushin(nu, order + 1)
+        series = partition.WordTable(nu, order, table).series(word)
     elif target.startswith("zplus:"):
         p = int(target[6:])
-        table = solve_dobrushin(nu, order + p)
-        series = zplus_recursion(p, nu, order, table)
+        table = partition.solve_dobrushin(nu, order + p)
+        series = partition.zplus_recursion(p, nu, order, table)
     else:
-        raise SystemExit(2)
+        raise _unknown_target("coeffs", target)
     if args.out == "csv":
         result = {"format": "csv", "target": target, "csv": _series_csv(series)}
     else:
@@ -134,49 +118,50 @@ def cmd_coeffs(args) -> int:
 
 def cmd_oracle(args) -> int:
     t0 = time.time()
-    nu = parse_scalar(args.nu)
+    nu = exactnum.parse_scalar(args.nu)
     order = args.order
     target = args.target
+    cap = maps.DEFAULT_CAP if args.cap is None else args.cap
     dump = []
     if target == "sphere":
-        series = oracle_sphere(nu, order, cap=args.cap)
+        series = maps.oracle_sphere(nu, order, cap=cap)
         if args.dump_maps:
             for n in range(3, order + 1, 3):
-                dump += [m.to_text() for m in enumerate_maps(n, "sphere", cap=args.cap)]
+                dump += [m.to_text() for m in maps.enumerate_maps(n, "sphere", cap=cap)]
     elif target.startswith("q:"):
-        series = oracle_Q(int(target[2:]), nu, order, cap=args.cap)
+        series = maps.oracle_Q(int(target[2:]), nu, order, cap=cap)
     elif target.startswith("word:"):
-        word = normalize_word(target[5:])
-        series = oracle_series(word, nu, order, cap=args.cap)
+        word = maps.normalize_word(target[5:])
+        series = maps.oracle_series(word, nu, order, cap=cap)
         if args.dump_maps:
             p = len(word)
             for n in range(1, order + 1):
                 if (2 * n - p) % 3 == 0:
-                    dump += [m.to_text() for m in enumerate_maps(n, "pgon", p, cap=args.cap)]
+                    dump += [m.to_text() for m in maps.enumerate_maps(n, "pgon", p, cap=cap)]
     else:
-        raise SystemExit(2)
+        raise _unknown_target("oracle", target)
     result = {"target": target, "series": series.to_json()}
     if args.dump_maps:
         result["maps"] = dump
     _emit(args, "oracle", {"nu": args.nu, "target": target, "order": order,
-                           "cap": args.cap, "dump_maps": args.dump_maps}, result, t0)
+                           "cap": cap, "dump_maps": args.dump_maps}, result, t0)
     return 0
 
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    nu = parse_scalar(args.nu)
+    nu = exactnum.parse_scalar(args.nu)
     order = args.order
-    table = solve_dobrushin(nu, order + 2)
-    rep = verify_catalytic(nu, order, table)
-    oracle_order = min(order, DEFAULT_CAP)
-    words = WordTable(nu, oracle_order, table)
-    q_results = [r.to_json() for r in check_q_identities(words)]
+    table = partition.solve_dobrushin(nu, order + 2)
+    rep = partition.verify_catalytic(nu, order, table)
+    oracle_order = min(order, maps.DEFAULT_CAP)
+    words = partition.WordTable(nu, oracle_order, table)
+    q_results = [r.to_json() for r in partition.check_q_identities(words)]
     oracle_ok = True
     for p in (1, 2, 3):
         for bits in itertools.product("+-", repeat=p):
             w = "".join(bits)
-            if not words.series(w).eq_to_order(oracle_series(w, nu, oracle_order), oracle_order):
+            if not words.series(w).eq_to_order(maps.oracle_series(w, nu, oracle_order), oracle_order):
                 oracle_ok = False
     all_ok = rep.ok and oracle_ok and all(r["ok"] for r in q_results)
     result = {
@@ -192,9 +177,9 @@ def cmd_verify(args) -> int:
 
 def cmd_critical(args) -> int:
     t0 = time.time()
-    nu = parse_scalar(args.nu)
+    nu = exactnum.parse_scalar(args.nu)
     width = Fraction(args.width) if "/" in args.width else Fraction(float(args.width)).limit_denominator(10 ** 40)
-    crit = critical_point(nu, width)
+    crit = criticality.critical_point(nu, width)
     result = crit.to_json()
     _emit(args, "critical", {"nu": args.nu, "width": args.width}, result, t0)
     return 0
@@ -202,16 +187,16 @@ def cmd_critical(args) -> int:
 
 def cmd_spectral(args) -> int:
     t0 = time.time()
-    nu = parse_scalar(args.nu)
+    nu = exactnum.parse_scalar(args.nu)
     order = args.order
-    crit = critical_point(nu)
-    table = solve_dobrushin(nu, order)
+    crit = criticality.critical_point(nu)
+    table = partition.solve_dobrushin(nu, order)
     n_eval = order - 1
-    z1 = eval_at_tnu(table.z_plus.with_order(n_eval), crit)
-    z2 = eval_at_tnu(table.z_plusplus.with_order(n_eval), crit)
-    zm = eval_at_tnu(table.z_plusminus.with_order(n_eval), crit)
-    matrix = mean_matrix(crit, z1, z2, zm)
-    radius = spectral_radius(matrix)
+    z1 = criticality.eval_at_tnu(table.z_plus.with_order(n_eval), crit)
+    z2 = criticality.eval_at_tnu(table.z_plusplus.with_order(n_eval), crit)
+    zm = criticality.eval_at_tnu(table.z_plusminus.with_order(n_eval), crit)
+    matrix = criticality.mean_matrix(crit, z1, z2, zm)
+    radius = criticality.spectral_radius(matrix)
     result = {
         "matrix": matrix.to_json(),
         "radius": _interval_json(radius),
@@ -225,19 +210,19 @@ def cmd_spectral(args) -> int:
 
 def cmd_asymp(args) -> int:
     t0 = time.time()
-    nu = parse_scalar(args.nu)
+    nu = exactnum.parse_scalar(args.nu)
     order = args.order
-    crit = critical_point(nu)
     target = args.target
     if target == "sphere":
-        series = sphere_series(nu, order)
+        series = partition.sphere_series(nu, order)
     elif target.startswith("word:"):
-        word = normalize_word(target[5:])
-        table = solve_dobrushin(nu, order + 1)
-        series = WordTable(nu, order, table).series(word)
+        word = maps.normalize_word(target[5:])
+        table = partition.solve_dobrushin(nu, order + 1)
+        series = partition.WordTable(nu, order, table).series(word)
     else:
-        raise SystemExit(2)
-    fit = estimate_asymptotics(series, crit)
+        raise _unknown_target("asymp", target)
+    crit = criticality.critical_point(nu)
+    fit = criticality.estimate_asymptotics(series, crit)
     result = {"target": target, "fit": fit.to_json(), "regime": crit.regime}
     _emit(args, "asymp", {"nu": args.nu, "target": target, "order": order}, result, t0)
     return 0
@@ -245,36 +230,37 @@ def cmd_asymp(args) -> int:
 
 def cmd_sample(args) -> int:
     t0 = time.time()
-    nu = parse_scalar(args.nu)
-    seeds = [derive_seed(args.seed, i) for i in range(args.reps)]
+    nu = exactnum.parse_scalar(args.nu)
+    seeds = [sampler.derive_seed(args.seed, i) for i in range(args.reps)]
     samples = []
-    maps = []
+    drawn = []
     extra = None
     if args.mode == "exact":
-        ctx = ExactSamplerContext(nu, 3 * args.n + 1)
+        ctx = sampler.ExactSamplerContext(nu, 3 * args.n + 1)
         for i in range(args.reps):
-            m = exact_sample(nu, args.n, seed=seeds[i], ctx=ctx)
-            maps.append(m)
+            m = sampler.exact_sample(nu, args.n, seed=seeds[i], ctx=ctx)
+            drawn.append(m)
     elif args.mode == "mcmc":
         for i in range(args.reps):
-            m = mcmc_sample(nu, args.n, args.steps, seed=seeds[i])
-            maps.append(m)
+            m = sampler.mcmc_sample(nu, args.n, args.steps, seed=seeds[i])
+            drawn.append(m)
     elif args.mode == "boltzmann":
         # t_nu is known as an enclosure: draw at its lower end, never above t_nu
-        t = critical_point(nu).t_nu.lo if args.t == "t_nu" else parse_scalar(args.t)
-        bctx = BoltzmannContext(nu, t, series_order=args.series_order)
-        word = normalize_word(args.word)
+        t = (criticality.critical_point(nu).t_nu.lo if args.t == "t_nu"
+             else exactnum.parse_scalar(args.t))
+        bctx = sampler.BoltzmannContext(nu, t, series_order=args.series_order)
+        word = maps.normalize_word(args.word)
         for i in range(args.reps):
-            maps.append(boltzmann_sample(word, nu, bctx, seed=seeds[i]))
+            drawn.append(sampler.boltzmann_sample(word, nu, bctx, seed=seeds[i]))
         extra = {"truncation": _truncated_mass(bctx, word)}
     else:
         raise SystemExit(2)
-    for m, s in zip(maps, seeds):
+    for m, s in zip(drawn, seeds):
         samples.append({"seed": s, "map": m.to_text(), "edges": m.n_edges,
                         "mono": m.monochromatic_count()})
-    stats = collect_stats(maps, r_max=args.r_max,
-                          meta={"mode": args.mode, "nu": args.nu, "seed": args.seed,
-                                "rng": RNG_ALGORITHM})
+    stats = sampler.collect_stats(drawn, r_max=args.r_max,
+                                  meta={"mode": args.mode, "nu": args.nu, "seed": args.seed,
+                                        "rng": sampler.RNG_ALGORITHM})
     result = {"samples": samples, "stats": stats.to_json()}
     if args.output_dir:
         outdir = Path(args.output_dir)
@@ -289,15 +275,16 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _truncated_mass(bctx: BoltzmannContext, word: str) -> dict:
+def _truncated_mass(bctx: sampler.BoltzmannContext, word: str) -> dict:
     """The Boltzmann mass of the sizes past the series order, P(n > N), by the
     power-law tail model: a heuristic estimate, and below t_nu, where the
     true tail decays geometrically, an upper estimate."""
-    value = scalar_to_float(bctx.value(word), 96).mid
-    model = eval_series_interval(bctx.words.series(word), scalar_to_float(bctx.t, 96),
-                                 decay_exponent(bctx.nu))
+    value = exactnum.scalar_to_float(bctx.value(word), 96).mid
+    model = criticality.eval_series_interval(bctx.words.series(word),
+                                             exactnum.scalar_to_float(bctx.t, 96),
+                                             criticality.decay_exponent(bctx.nu))
     tail = max(model.mid - value, 0)
-    return {"t": format_scalar(bctx.t), "series_order": bctx.order,
+    return {"t": exactnum.format_scalar(bctx.t), "series_order": bctx.order,
             "mass": float(tail / (value + tail)),
             "estimate": "heuristic: power-law tail model, an upper estimate below t_nu"}
 
@@ -305,11 +292,11 @@ def _truncated_mass(bctx: BoltzmannContext, word: str) -> dict:
 def cmd_stats(args) -> int:
     t0 = time.time()
     indir = Path(args.input_dir)
-    maps = []
+    stored = []
     for path in sorted(indir.glob("sample_*.json")):
         rec = json.loads(path.read_text())
-        maps.append(CombMap.from_text(rec["map"]))
-    stats = collect_stats(maps, r_max=args.r_max)
+        stored.append(maps.CombMap.from_text(rec["map"]))
+    stats = sampler.collect_stats(stored, r_max=args.r_max)
     result = stats.to_json()
     _emit(args, "stats", {"input_dir": args.input_dir, "r_max": args.r_max}, result, t0)
     return 0
@@ -348,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="coefficient tables from the series engines")
     p.add_argument("--nu", required=True)
-    p.add_argument("--target", required=True,
-                   help="sphere | word:<+->... | U | zplus:<p>")
+    p.add_argument("--target", required=True, help=TARGETS["coeffs"])
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--out", choices=("json", "csv"), default="json")
     common(p)
@@ -357,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force coefficient tables")
     p.add_argument("--nu", required=True)
-    p.add_argument("--target", required=True, help="sphere | word:<+->... | q:<p>")
+    p.add_argument("--target", required=True, help=TARGETS["oracle"])
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int)
     p.add_argument("--dump-maps", action="store_true")
     common(p)
     p.set_defaults(func=cmd_oracle)
@@ -384,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymp", help="coefficient asymptotics estimation")
     p.add_argument("--nu", required=True)
-    p.add_argument("--target", default="sphere")
+    p.add_argument("--target", default="sphere", help=TARGETS["asymp"])
     p.add_argument("--order", type=int, default=60)
     common(p)
     p.set_defaults(func=cmd_asymp)

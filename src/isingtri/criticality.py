@@ -309,15 +309,13 @@ def eval_series_interval(series: TSeries, t: Interval, alpha: Fraction | float,
     return Interval(Fraction(value - band), Fraction(value + band))
 
 
-def eval_at_tnu(series: TSeries, crit: CriticalData,
-                alpha_hint: Fraction | None = None, bits: int = 96) -> Interval:
+def eval_at_tnu(series: TSeries, crit: CriticalData, bits: int = 96) -> Interval:
     """Evaluate a nonnegative series at t_nu with the regime's tail model."""
     if series.is_zero():
         return Interval(Fraction(0))
     if series.order < 30:
         raise InsufficientOrder("evaluation at t_nu needs series order >= 30")
-    alpha = alpha_hint if alpha_hint is not None else crit.alpha
-    return eval_series_interval(series, crit.t_nu, alpha, bits)
+    return eval_series_interval(series, crit.t_nu, crit.alpha, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,13 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
+def _integer_weight(nu: Scalar) -> tuple[tuple[int, int], int]:
+    """Write nu = (m_a + m_b sqrt7) / d with integers m_a, m_b and d > 0."""
+    a, b = (nu.a, nu.b) if isinstance(nu, QuadExt) else (nu, Fraction(0))
+    d = math.lcm(a.denominator, b.denominator)
+    return (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)), d
+
+
 # ---------------------------------------------------------------------------
 # text grammar: "p/q" and "p/q + r/s*sqrt7"
 # ---------------------------------------------------------------------------

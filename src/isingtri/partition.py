@@ -26,11 +26,9 @@ solver `series.solve_fixed_point`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .exactnum import QuadExt, Scalar, _make, as_scalar, format_scalar
-from .maps import oracle_Q
+from .exactnum import QuadExt, Scalar, _integer_weight, _make, as_scalar, format_scalar
 from .series import BivSeries, DegreeOverflow, NotContractive, TSeries
 
 
@@ -57,13 +55,6 @@ class DobrushinTable:
         self.z_plus = zplus.extract_tseries(1, 0)           # Z_+  = [x] Z+(x)
         self.z_plusplus = zplus.extract_tseries(2, 0)       # Z_++ = [x^2] Z+(x)
         self.z_plusminus = mixed.extract_tseries(1, 1)      # Z_+- = [x y] S(x, y)
-
-
-def _integer_weight(nu: Scalar) -> tuple[tuple[int, int], int]:
-    """Write nu = (m_a + m_b sqrt7) / d with integers m_a, m_b and d > 0."""
-    a, b = (nu.a, nu.b) if isinstance(nu, QuadExt) else (nu, Fraction(0))
-    d = math.lcm(a.denominator, b.denominator)
-    return (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)), d
 
 
 def _dobrushin_terms(M: list, Z: list, k: int, cap: int):
@@ -628,6 +619,8 @@ def check_q_identities(words: WordTable) -> list[IdentityResult]:
     length-1/2 entries are the Dobrushin slices.  The brute-force Q-series
     grow fast with the order: callers keep it at 9 or below.
     """
+    from .maps import oracle_Q
+
     nu, n = words.nu, words.order
     q1 = oracle_Q(1, nu, n)
     q2 = oracle_Q(2, nu, n)

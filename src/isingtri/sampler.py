@@ -23,9 +23,9 @@ import math
 import random
 from bisect import bisect_left, insort
 
-from .exactnum import QuadExt, Scalar, _make, as_scalar, sign_sqrt7
+from . import partition
+from .exactnum import QuadExt, Scalar, _integer_weight, _make, as_scalar, sign_sqrt7
 from .maps.combmap import CombMap, normalize_word, spins_to_word, word_to_spins
-from .partition import WordTable, _integer_weight, solve_dobrushin
 
 RNG_ALGORITHM = "python-mt19937/sha256-derived-streams"
 
@@ -351,7 +351,8 @@ class ExactSamplerContext:
     def __init__(self, nu: Scalar, max_edges: int):
         self.nu = as_scalar(nu)
         self.order = max_edges
-        self.words = WordTable(self.nu, self.order, solve_dobrushin(self.nu, self.order))
+        self.words = partition.WordTable(self.nu, self.order,
+                                         partition.solve_dobrushin(self.nu, self.order))
         self._cases: dict[tuple[str, int], tuple[list[tuple], list[Scalar]]] = {}
         self._roots: dict[int, tuple[list[Scalar], list[int], list[Scalar]]] = {}
 

@@ -45,6 +45,16 @@ def test_unknown_flag_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", [
+    ("coeffs", "--order", "5"), ("oracle", "--order", "5"), ("asymp",),
+], ids=["coeffs", "oracle", "asymp"])
+def test_unknown_target_exits_2_and_names_the_forms(command):
+    proc = run_cli(*command, "--nu", "2", "--target", "foo")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "'foo'" in proc.stderr and "sphere | word:<+->..." in proc.stderr
+
+
 def test_bad_input_structured_error():
     proc = run_cli("coeffs", "--nu", "0", "--target", "sphere", "--order", "5")
     assert proc.returncode == 1
@@ -150,7 +160,9 @@ def test_sample_output_hash_pinned(args, result_hash):
 @pytest.mark.parametrize("args", [
     ("coeffs", "--nu", "2", "--target", "word:++-", "--order", "8"),
     ("sample", "exact", "--nu", "2", "--n", "2", "--reps", "2", "--seed", "1"),
-], ids=["coeffs", "sample-exact"])
+    # the command that loads the fewest layers: the tracer must load the rest itself
+    ("critical", "--nu", "nu_c"),
+], ids=["coeffs", "sample-exact", "critical"])
 def test_benchmark_tracer_finds_its_functions(args, tmp_path):
     # the tracer looks functions up by name: a rename must fail here, not in a traced run
     trace = tmp_path / "trace.json"
@@ -173,6 +185,33 @@ def test_cli_import_loads_the_traced_layers_only():
     assert proc.returncode == 0, proc.stderr
     unwanted, missing = json.loads(proc.stdout)
     assert unwanted == [] and missing == []
+
+
+ENGINE_LAYERS = ("exactnum", "series", "maps", "partition", "criticality", "sampler")
+
+
+@pytest.mark.parametrize("args, allowed", [
+    (("critical", "--nu", "nu_c"), {"exactnum", "series", "criticality"}),
+    (("coeffs", "--nu", "nu_c", "--target", "sphere", "--order", "9"),
+     set(ENGINE_LAYERS) - {"criticality", "sampler", "maps"}),
+    (("sample", "mcmc", "--nu", "2", "--n", "2", "--steps", "50", "--seed", "1"),
+     set(ENGINE_LAYERS) - {"partition", "criticality"}),
+], ids=["critical", "coeffs-sphere", "sample-mcmc"])
+def test_commands_execute_only_the_layers_they_call(args, allowed, tmp_path):
+    # a layer still registered lazily has not been compiled or run
+    probe = ("import json, sys, types, isingtri.cli\n"
+             f"layers = {ENGINE_LAYERS!r}\n"
+             "run = lambda: [m for m in layers "
+             "if type(sys.modules['isingtri.' + m]) is types.ModuleType]\n"
+             "on_import = run()\n"
+             "rc = isingtri.cli.main(sys.argv[1:])\n"
+             "print(json.dumps([rc, on_import, run()]))")
+    proc = subprocess.run([sys.executable, "-c", probe, *args, "--output", str(tmp_path / "out.json")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    rc, on_import, executed = json.loads(proc.stdout)
+    assert rc == 0 and on_import == []
+    assert set(executed) <= allowed
 
 
 def test_stats_hash_independent_of_input_path(tmp_path):
