@@ -10,10 +10,18 @@ the start: a tracer that looks `sys.modules["isingtri.<layer>"]` up right after
 `import isingtri.cli` finds it, and reading an attribute from it loads it.
 Reach a layer through its module object (`partition.solve_U`) where it may go
 unused: `from .partition import solve_U` runs `partition` at once.
+
+`sha256` is CPython's builtin SHA-256, as in `random`: `hashlib` maps OpenSSL's
+libcrypto, about 4 MB resident in every command, for the same digest.
 """
 
 import importlib.util
 import sys
+
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 __version__ = "0.1.0"
 

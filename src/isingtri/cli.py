@@ -1,10 +1,10 @@
 """Command-line surface: every subsystem behind one binary with JSON output.
 
 Each invocation emits a run manifest next to its results: the subcommand, the
-full parameter set, library version, seeds, wall-clock time and a sha256 of
-the canonically serialized result payload.  Re-running the same command
-reproduces the result hash bit for bit (samplers included: all randomness is
-seed-derived).
+full parameter set, library version, seeds, wall-clock time, peak resident
+memory and a sha256 of the canonically serialized result payload.  Re-running
+the same command reproduces the result hash bit for bit (samplers included: all
+randomness is seed-derived).
 
 Every subcommand reaches the engine layers through their module objects,
 which `isingtri/__init__.py` registers to load on first use, so a command
@@ -15,15 +15,15 @@ its subcommand (`report`), the only one that uses it.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
+import resource
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, criticality, exactnum, maps, partition, sampler
+from . import __version__, criticality, exactnum, maps, partition, sampler, sha256
 
 # the accepted --target forms of each subcommand that takes one
 TARGETS = {
@@ -38,7 +38,7 @@ def _canonical_json(payload) -> str:
 
 
 def _result_hash(payload) -> str:
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    return sha256(_canonical_json(payload).encode()).hexdigest()
 
 
 def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None,
@@ -50,6 +50,7 @@ def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None,
         "seeds": seeds,
         "rng_algorithm": sampler.RNG_ALGORITHM if seeds else None,
         "wallclock_s": round(time.time() - t0, 3),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
         "output_hashes": {"result": _result_hash(result)},
         **(extra or {}),
     }

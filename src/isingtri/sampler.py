@@ -18,12 +18,11 @@ its seed; replicas derive independent streams by hashing.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from bisect import bisect_left, insort
 
-from . import partition
+from . import partition, sha256
 from .exactnum import QuadExt, Scalar, _integer_weight, _make, as_scalar, sign_sqrt7
 from .maps.combmap import CombMap, normalize_word, spins_to_word, word_to_spins
 
@@ -35,7 +34,7 @@ class CoefficientsMissing(ValueError):
 
 
 def derive_seed(seed: int, stream: int | str) -> int:
-    digest = hashlib.sha256(f"{seed}:{stream}".encode()).digest()
+    digest = sha256(f"{seed}:{stream}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

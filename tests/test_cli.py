@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -38,6 +39,21 @@ def test_critical_nu_c_exact_string():
     assert out["result"]["regime"] == "critical"
     validate(out["result"], "critical")
     validate(out["manifest"], "manifest")
+
+
+def test_manifest_records_peak_memory():
+    proc = run_cli("critical", "--nu", "2")
+    assert proc.returncode == 0
+    manifest = json.loads(proc.stdout)["manifest"]
+    assert 1 < manifest["peak_rss_mb"] < 1024
+    validate(manifest, "manifest")
+    # optional, and outside the hashed result
+    schema = load_schema("manifest")
+    assert "peak_rss_mb" not in schema["required"]
+    validate({k: v for k, v in manifest.items() if k != "peak_rss_mb"}, "manifest")
+    if jsonschema is not None:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**manifest, "peak_rss_mb": "17 MB"}, schema)
 
 
 def test_unknown_flag_exits_2():
@@ -174,6 +190,19 @@ def test_benchmark_tracer_finds_its_functions(args, tmp_path):
     assert "sampler.case_weights_calls" in metrics
 
 
+def test_benchmark_tracer_times_the_lazily_loaded_oracle(tmp_path):
+    # the oracle's names load on first access: unless they are bound in `maps`,
+    # the tracer wraps nothing and the oracle span reads 0 without an error
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(PERFBENCH_DIR / "traced.py"), str(trace), "--",
+                           "verify", "--nu", "2", "--order", "6"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(trace.read_text())["metrics"]
+    assert metrics["maps.oracle_s"] > 0
+    assert metrics["maps.validate_calls"] > 0
+
+
 def test_cli_import_loads_the_traced_layers_only():
     # every command pays for what `isingtri.cli` imports; the tracer needs the engines loaded
     probe = ("import json, sys, isingtri.cli; loaded = sys.modules; print(json.dumps(["
@@ -188,30 +217,99 @@ def test_cli_import_loads_the_traced_layers_only():
 
 
 ENGINE_LAYERS = ("exactnum", "series", "maps", "partition", "criticality", "sampler")
+SAMPLES = "<sample dir>"            # replaced by the `sample_dir` fixture
 
 
-@pytest.mark.parametrize("args, allowed", [
-    (("critical", "--nu", "nu_c"), {"exactnum", "series", "criticality"}),
-    (("coeffs", "--nu", "nu_c", "--target", "sphere", "--order", "9"),
-     set(ENGINE_LAYERS) - {"criticality", "sampler", "maps"}),
-    (("sample", "mcmc", "--nu", "2", "--n", "2", "--steps", "50", "--seed", "1"),
-     set(ENGINE_LAYERS) - {"partition", "criticality"}),
-], ids=["critical", "coeffs-sphere", "sample-mcmc"])
-def test_commands_execute_only_the_layers_they_call(args, allowed, tmp_path):
-    # a layer still registered lazily has not been compiled or run
+@pytest.fixture(scope="module")
+def sample_dir(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("samples")
+    proc = run_cli("sample", "exact", "--nu", "2", "--n", "2", "--reps", "4", "--seed", "3",
+                   "--out", str(outdir))
+    assert proc.returncode == 0, proc.stderr
+    return outdir
+
+
+def run_in_fresh_interpreter(args, sample_dir, tmp_path):
+    """Run one command in-process in a new interpreter.
+
+    Returns the engine layers executed by `import isingtri.cli` and by the
+    whole command (a layer still registered lazily has not been compiled or
+    run), and the names in `sys.modules` at the end.
+    """
+    args = [str(sample_dir) if a == SAMPLES else a for a in args]
     probe = ("import json, sys, types, isingtri.cli\n"
              f"layers = {ENGINE_LAYERS!r}\n"
              "run = lambda: [m for m in layers "
              "if type(sys.modules['isingtri.' + m]) is types.ModuleType]\n"
              "on_import = run()\n"
              "rc = isingtri.cli.main(sys.argv[1:])\n"
-             "print(json.dumps([rc, on_import, run()]))")
+             "print(json.dumps([rc, on_import, run(), sorted(sys.modules)]))")
     proc = subprocess.run([sys.executable, "-c", probe, *args, "--output", str(tmp_path / "out.json")],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    rc, on_import, executed = json.loads(proc.stdout)
-    assert rc == 0 and on_import == []
-    assert set(executed) <= allowed
+    rc, on_import, executed, loaded = json.loads(proc.stdout)
+    assert rc == 0
+    return on_import, set(executed), set(loaded)
+
+
+ORACLE_MODULES = {"isingtri.maps.oracle", "isingtri.maps.enumerate"}
+
+
+@pytest.mark.parametrize("args, allowed", [
+    (("critical", "--nu", "nu_c"), {"exactnum", "series", "criticality"}),
+    (("coeffs", "--nu", "nu_c", "--target", "sphere", "--order", "9"),
+     set(ENGINE_LAYERS) - {"criticality", "sampler", "maps"}),
+    (("sample", "exact", "--nu", "2", "--n", "2", "--reps", "5", "--seed", "1"),
+     set(ENGINE_LAYERS) - {"criticality"}),
+    (("sample", "mcmc", "--nu", "2", "--n", "2", "--steps", "50", "--seed", "1"),
+     {"exactnum", "maps", "sampler"}),
+    (("stats", "--in", SAMPLES), {"exactnum", "maps", "sampler"}),
+], ids=["critical", "coeffs-sphere", "sample-exact", "sample-mcmc", "stats"])
+def test_commands_execute_only_the_layers_they_call(args, allowed, sample_dir, tmp_path):
+    on_import, executed, loaded = run_in_fresh_interpreter(args, sample_dir, tmp_path)
+    assert on_import == []
+    assert executed <= allowed
+    # none of these commands calls the brute-force oracle
+    assert not loaded & ORACLE_MODULES
+
+
+GATED_COMMANDS = [
+    ("critical", "--nu", "nu_c"),
+    ("coeffs", "--nu", "nu_c", "--target", "sphere", "--order", "9"),
+    ("verify", "--nu", "2", "--order", "6"),
+    ("sample", "exact", "--nu", "2", "--n", "2", "--reps", "5", "--seed", "1"),
+    ("sample", "mcmc", "--nu", "2", "--n", "2", "--steps", "50", "--seed", "1"),
+    ("sample", "boltzmann", "--nu", "2", "--t", "1/20", "--word", "++", "--series-order", "7",
+     "--reps", "3", "--seed", "1"),
+    ("stats", "--in", SAMPLES),
+]
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
+                    reason="this interpreter has no builtin SHA-256 module")
+@pytest.mark.parametrize("args", GATED_COMMANDS, ids=[
+    "critical", "coeffs-sphere", "verify", "sample-exact", "sample-mcmc", "sample-boltzmann",
+    "stats"])
+def test_commands_do_not_load_openssl(args, sample_dir, tmp_path):
+    # `hashlib` maps OpenSSL's libcrypto, about 4 MB resident in every command
+    _, _, loaded = run_in_fresh_interpreter(args, sample_dir, tmp_path)
+    assert "_hashlib" not in loaded
+
+
+def test_result_hash_without_the_builtin_sha256():
+    # the `hashlib` fallback gives the same seed streams and result hash
+    probe = ("import sys\n"
+             "sys.modules['_sha256'] = None\n"
+             "import hashlib, isingtri, isingtri.cli\n"
+             "assert isingtri.sha256 is hashlib.sha256\n"
+             "sys.exit(isingtri.cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", probe, "sample", "exact", "--nu", "2", "--n", "5",
+                           "--reps", "20", "--seed", "7"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["manifest"]["output_hashes"]["result"]
+            == "665b97410e3e92aa77005314fcb9d39a8d105a39470801a5e610f7b207dc9a8e")
 
 
 def test_stats_hash_independent_of_input_path(tmp_path):
