@@ -6,6 +6,8 @@ components.  Arithmetic between the two promotes to QuadExt and demotes back
 to Fraction whenever the sqrt(7) part cancels, so equal values always compare
 equal and hash alike.  All comparisons are exact: no floating point is used
 anywhere in this module except in the final float conversions of `Interval`.
+Integer pairs (u, v) stand for u + v*sqrt(7) in Z[sqrt7]: `integer_pairs`
+scales scalars to them, `pair_scalar` reads one back.
 """
 
 from __future__ import annotations
@@ -177,6 +179,7 @@ class QuadExt:
 
 
 Scalar = Union[Fraction, QuadExt]
+Pair = tuple[int, int]
 
 
 def _coerce(x):
@@ -206,11 +209,31 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
-def _integer_weight(nu: Scalar) -> tuple[tuple[int, int], int]:
+def integer_pairs(scalars) -> tuple[list[Pair], int]:
+    """The integer pairs (u, v) of d x = u + v sqrt7, one per exact scalar x,
+    and d > 0, the least common denominator of all their parts."""
+    parts = [(x.a, x.b) if isinstance(x, QuadExt) else (x, 0) for x in scalars]
+    d = math.lcm(*(c.denominator for ab in parts for c in ab))
+    return [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+            for a, b in parts], d
+
+
+def _integer_weight(nu: Scalar) -> tuple[Pair, int]:
     """Write nu = (m_a + m_b sqrt7) / d with integers m_a, m_b and d > 0."""
-    a, b = (nu.a, nu.b) if isinstance(nu, QuadExt) else (nu, Fraction(0))
-    d = math.lcm(a.denominator, b.denominator)
-    return (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)), d
+    (m,), d = integer_pairs([nu])
+    return m, d
+
+
+def pair_mul(x: Pair, y: Pair) -> Pair:
+    """The product of two integer pairs: (a + b sqrt7)(c + e sqrt7)."""
+    (a, b), (c, e) = x, y
+    return a * c + 7 * b * e, a * e + b * c
+
+
+def pair_scalar(pair: Pair, d: int) -> Scalar:
+    """The exact scalar (u + v sqrt7) / d of the integer pair (u, v), d > 0."""
+    u, v = pair
+    return _make(Fraction(u, d), Fraction(v, d))
 
 
 # ---------------------------------------------------------------------------

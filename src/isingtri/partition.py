@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import QuadExt, Scalar, _integer_weight, _make, as_scalar, format_scalar
+from .exactnum import (QuadExt, Scalar, _integer_weight, as_scalar, format_scalar, pair_mul,
+                       pair_scalar)
 from .series import BivSeries, DegreeOverflow, NotContractive, TSeries
 
 
@@ -130,7 +131,7 @@ def _unscaled(layers: list, d: int):
     scale = 1
     for k, layer in enumerate(layers):
         for key, (u, v) in sorted(layer.items()):
-            yield k, key, _make(Fraction(u, scale), Fraction(v, scale))
+            yield k, key, pair_scalar((u, v), scale)
         scale *= d
 
 
@@ -220,7 +221,8 @@ class WordTable:
     spin flips share one state.  `terms` lists the identity's nonzero terms,
     which the exact sampler reads as its case weights, and `total` weighs
     them by the root edge.  `state` reads one integer state, `coeff` the
-    scalar it stands for; `series` assembles t^0..t^order into `entries`.
+    scalar it stands for; `series` assembles t^0..t^order into `entries`,
+    which keeps the scalars (the samplers read states only).
     """
 
     def __init__(self, nu: Scalar, order: int, dobrushin: DobrushinTable | None = None):
@@ -232,7 +234,6 @@ class WordTable:
         self._seeds: dict[str, dict] = {}        # seed series as scaled integer layers
         self._states: dict[tuple[str, int], tuple[int, int] | None] = {}
         self._read: dict[tuple[str, int], tuple[int, int]] = {}   # _state results, by word
-        self._coeffs: dict[tuple[str, int], Scalar] = {}   # coeff() results, by word
         if dobrushin is not None:
             self.seed_from(dobrushin)
 
@@ -265,12 +266,7 @@ class WordTable:
 
     def coeff(self, word: str, n: int) -> Scalar:
         """[t^n] Z_word, for n <= order."""
-        c = self._coeffs.get((word, n))
-        if c is None:
-            u, v = self.state(word, n)
-            scale = self._d ** n
-            c = self._coeffs[word, n] = _make(Fraction(u, scale), Fraction(v, scale))
-        return c
+        return pair_scalar(self.state(word, n), self._d ** n)
 
     def state(self, word: str, n: int) -> tuple[int, int]:
         """c(word, n) = d^n [t^n] Z_word as the pair (u, v) of u + v sqrt7, for n <= order."""
@@ -346,8 +342,7 @@ class WordTable:
             v += q
         if word[0] != word[-1]:
             return self._d * u, self._d * v
-        mu, mv = self._m
-        return mu * u + 7 * mv * v, mv * u + mu * v
+        return pair_mul(self._m, (u, v))
 
 
 # ---------------------------------------------------------------------------

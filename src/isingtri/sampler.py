@@ -6,24 +6,26 @@ edge-flip plus heat-bath Markov chain for sizes beyond exact reach.  The
 Boltzmann sampler adds no peeling path of its own: it draws the size from the
 exact series at its fugacity and the map of that size from the exact sampler.
 
-Case selection is exact for exact scalars: a uniform variate is drawn lazily
-bit by bit as a shrinking dyadic interval and compared against cumulative
-weights with exact arithmetic, so no case probability is ever rounded.  The
-choice depends only on the ratios of the weights, so the exact sampler reads
-its case weights as the word table's integer peeling terms, before the
-common root-edge factor and scale d^n (nu = m / d), and the Markov chain
-weighs spins and flips by integer powers of m and d.  Every sample records
-its seed; replicas derive independent streams by hashing.
+Every weight is an integer pair (u, v) standing for u + v sqrt7, v = 0 at
+rational nu.  A choice is exact: a uniform variate is drawn lazily bit by bit
+as a shrinking dyadic interval and compared against cumulative weights by
+integer sign tests.  It depends only on the ratios of the weights, so each
+caller scales its weights by one positive constant: the exact sampler reads
+the word table's integer peeling terms, before the root-edge factor and
+scale d^n (nu = m / d), the Boltzmann sampler weighs sizes by integer
+states, and the Markov chain weighs spins and flips by integer powers of m
+and d.  Every sample records its seed; replicas derive independent streams
+by hashing.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, insort
 
 from . import partition, sha256
-from .exactnum import QuadExt, Scalar, _integer_weight, _make, as_scalar, sign_sqrt7
+from .exactnum import (Pair, Scalar, _integer_weight, as_scalar, integer_pairs, pair_mul,
+                       pair_scalar, sign_sqrt7)
 from .maps.combmap import CombMap, normalize_word, spins_to_word, word_to_spins
 
 RNG_ALGORITHM = "python-mt19937/sha256-derived-streams"
@@ -42,92 +44,53 @@ def derive_seed(seed: int, stream: int | str) -> int:
 # exact weighted choice via lazily refined dyadic uniform
 # ---------------------------------------------------------------------------
 
-def pick_weighted(weights: list[Scalar], rng: random.Random) -> int:
-    """Index i with probability weights[i]/sum, exactly, for exact scalars.
+def pick_weighted(weights: list[Pair], rng: random.Random) -> int:
+    """Index i with probability w_i / sum(w), exactly, for weights w_i given
+    as integer pairs (u, v) standing for u + v sqrt7.
 
     A uniform variate on [0, total) is represented as the dyadic interval
     [lo, lo+1)/2^k * total and refined one random bit at a time until it fits
-    inside a single cumulative segment; all comparisons are exact.  Scaling
-    every weight by one positive constant changes no choice, so weights that
-    are not all integers are first scaled to integer pairs (u, v) standing for
-    u + v sqrt7 (`_pick_integer_pairs`), with the same random bits and result.
+    inside a single cumulative segment.  Every comparison is the sign of an
+    integer pair, read directly when its sqrt7 part is 0.  Scaling every
+    weight by one positive constant changes no comparison, so it changes
+    neither the result nor the random bits read.
     """
-    cum: list[int] = []
-    acc = 0
-    for w in weights:
-        if type(w) is not int:
-            return _pick_integer_pairs(weights, rng)
-        if w < 0:
+    cum: list[Pair] = []
+    tot_u = tot_v = 0
+    for u, v in weights:
+        if u < 0 if not v else sign_sqrt7(u, v) < 0:
             raise ValueError("negative weight")
-        acc = acc + w
-        cum.append(acc)
-    total = acc
-    if not total > 0:
+        tot_u += u
+        tot_v += v
+        cum.append((tot_u, tot_v))
+    if tot_u <= 0 if not tot_v else sign_sqrt7(tot_u, tot_v) <= 0:
         raise ValueError("all weights vanish")
-    lo = 0
-    k = 0
-    while True:
-        scale = 1 << k
-        u_lo = lo * total
-        u_hi = (lo + 1) * total
-        # first segment whose upper cumulative strictly exceeds u_lo
-        for i, c in enumerate(cum):
-            sc = scale * c
-            if sc > u_lo:
-                if u_hi <= sc:
-                    return i
-                break
-        lo = (lo << 1) | rng.getrandbits(1)
-        k += 1
-
-
-def _pick_integer_pairs(weights: list[Scalar], rng: random.Random) -> int:
-    """`pick_weighted` for Fraction or Q(sqrt7) weights.
-
-    Every weight is scaled by the one common denominator D of its parts, to
-    the integer pair (u, v) of D w = u + v sqrt7; the refinement then makes
-    the same comparisons as `pick_weighted`, as integer sign tests.
-    """
-    parts = [(w.a, w.b) if isinstance(w, QuadExt) else (w, 0) for w in weights]
-    den = math.lcm(*(x.denominator for ab in parts for x in ab))
-    cum: list[tuple[int, int]] = []
-    acc_u = acc_v = 0
-    for a, b in parts:
-        u, v = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-        if sign_sqrt7(u, v) < 0:
-            raise ValueError("negative weight")
-        acc_u += u
-        acc_v += v
-        cum.append((acc_u, acc_v))
-    tot_u, tot_v = acc_u, acc_v
-    if sign_sqrt7(tot_u, tot_v) <= 0:
-        raise ValueError("all weights vanish")
-    lo = 0
-    k = 0
+    lo = k = 0
     while True:
         lo_u, lo_v = lo * tot_u, lo * tot_v
-        # first segment whose upper cumulative strictly exceeds lo * total
-        for i, (cu, cv) in enumerate(cum):
-            du, dv = (cu << k) - lo_u, (cv << k) - lo_v
-            if sign_sqrt7(du, dv) > 0:
-                if sign_sqrt7(du - tot_u, dv - tot_v) >= 0:
+        # first segment whose upper cumulative strictly exceeds lo * total; a
+        # counter, not enumerate, as unpacking its nested pairs slows every pick
+        i = 0
+        for cu, cv in cum:
+            du = (cu << k) - lo_u
+            dv = (cv << k) - lo_v
+            if du > 0 if not dv else sign_sqrt7(du, dv) > 0:
+                du -= tot_u
+                dv -= tot_v
+                if du >= 0 if not dv else sign_sqrt7(du, dv) >= 0:
                     return i
                 break
+            i += 1
         lo = (lo << 1) | rng.getrandbits(1)
         k += 1
 
 
-def bernoulli(num: Scalar, den: Scalar, rng: random.Random) -> bool:
-    """True with exact probability min(1, num / den), for num, den > 0."""
-    if num >= den:
+def bernoulli(num: Pair, den: Pair, rng: random.Random) -> bool:
+    """True with exact probability min(1, num / den), for pairs num, den > 0."""
+    du, dv = den[0] - num[0], den[1] - num[1]
+    if du <= 0 if not dv else sign_sqrt7(du, dv) <= 0:
         return True
-    return pick_weighted([num, den - num], rng) == 0
-
-
-def _weight_ratio(nu: Scalar) -> tuple[Scalar, int]:
-    """(m, d) with nu = m / d, m in Z or Z[sqrt7] and the integer d > 0."""
-    m, d = _integer_weight(nu)
-    return _make(*m), d
+    return pick_weighted([num, (du, dv)], rng) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +140,17 @@ def _attach_new_vertex(inner: _Piece) -> _Piece:
     Adds the root edge of the result across the corner at the new vertex c,
     so the triangle (w_p, c, w_1) becomes an internal face.
     """
-    p1 = inner
-    cyc = p1.root_face_cycle()          # [rbar, y1 .. yp], tail(y_j) = w_{p+1-j}
+    cyc = inner.root_face_cycle()       # [rbar, y1 .. yp], tail(y_j) = w_{p+1-j}
     rbar, ys = cyc[0], cyc[1:]
-    p = len(ys)
-    if p < 1:
+    if not ys:
         raise ValueError("inner word must have length >= 2")
-    n = len(p1.alpha)
+    n = len(inner.alpha)
     d1, d2 = n, n + 1                   # new root edge darts: d1 at w_p, d2 at w_1
-    alpha = p1.alpha + [d2, d1]
-    sigma = p1.sigma + [0, 0]
-    spin = p1.spin + [p1.spin[ys[0]], p1.spin[ys[-1]]]
-    rootp = p1.root
-    if p == 1:
-        sigma[d1] = d2                  # new root face is the loop face [d2]
-        sigma[d2] = ys[0]
-        sigma[rootp] = d1
-    else:
-        sigma[d1] = ys[0]               # phi(d2) = y1
-        sigma[d2] = ys[-1]              # phi(d1) = yp
-        sigma[rootp] = d1               # phi(rbar) = d1
-        sigma[alpha[ys[-2]]] = d2       # phi(y_{p-1}) = d2
+    alpha = inner.alpha + [d2, d1]
+    sigma = inner.sigma + [0, 0]
+    spin = inner.spin + [inner.spin[ys[0]], inner.spin[ys[-1]]]
+    # the internal triangle, and the new root face (the loop [d2] when p = 1)
+    _set_faces(alpha, sigma, ([d1, ys[-1], rbar], [d2] + ys[:-1]))
     return _finish(_Piece(alpha, sigma, d1, spin))
 
 
@@ -217,8 +170,6 @@ def _attach_split(left: _Piece, right: _Piece) -> _Piece:
     rbar1, us = cyc1[0], cyc1[1:]
     cyc2 = [d + off for d in right.root_face_cycle()]
     rbar2, ss = cyc2[0], cyc2[1:]
-    r1 = left.root
-    r2 = right.root + off
     n = len(alpha)
     d1, d2 = n, n + 1
     alpha += [d2, d1]
@@ -226,15 +177,16 @@ def _attach_split(left: _Piece, right: _Piece) -> _Piece:
     w1_spin = left.spin[rbar1]
     wp_spin = spin[ss[0]] if ss else spin[rbar2]
     spin += [wp_spin, w1_spin]
-    # triangle [d1, rbar1, rbar2]
-    sigma[d2] = rbar1
-    sigma[r1] = rbar2
-    sigma[r2] = d1
-    # new root face [d2] + ss + us
-    cycle = [d2] + ss + us
-    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-        sigma[alpha[x]] = y
+    # the triangle, and the new root face
+    _set_faces(alpha, sigma, ([d1, rbar1, rbar2], [d2] + ss + us))
     return _finish(_Piece(alpha, sigma, d1, spin))
+
+
+def _set_faces(alpha: list[int], sigma: list[int], faces) -> None:
+    """Rewire sigma so that each given dart cycle is a face (a phi-cycle)."""
+    for face in faces:
+        for u, v in zip(face, face[1:] + face[:1]):
+            sigma[alpha[u]] = v
 
 
 def _finish(piece: _Piece) -> _Piece:
@@ -293,56 +245,17 @@ def _close_loop_pair(p1: _Piece, p2: _Piece) -> CombMap:
 
 
 # ---------------------------------------------------------------------------
-# decision trees of peeling steps
-# ---------------------------------------------------------------------------
-
-class _Node:
-    """One peeling step of a decision tree: its word, its case from
-    `peeling_cases` and the nodes of the case's child words, in order."""
-
-    __slots__ = ("word", "case", "children")
-
-    def __init__(self, word: str, case: tuple, children: list):
-        self.word = word
-        self.case = case
-        self.children = children
-
-
-def _build_from_tree(root: _Node) -> _Piece:
-    # iterative post-order construction
-    done: dict[int, _Piece] = {}
-    stack: list[tuple[_Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            kids = [done.pop(id(ch)) for ch in node.children]
-            if node.case[0] == "edge":
-                s = word_to_spins(node.word)
-                done[id(node)] = _edge_piece(s[0], s[1])
-            elif node.case[0] == "insert":
-                done[id(node)] = _attach_new_vertex(kids[0])
-            else:
-                done[id(node)] = _attach_split(kids[0], kids[1])
-        else:
-            stack.append((node, True))
-            stack.extend((ch, False) for ch in node.children)
-    piece = done[id(root)]
-    if piece.word() != normalize_word(root.word):
-        raise AssertionError("reconstructed boundary word mismatch")
-    return piece
-
-
-# ---------------------------------------------------------------------------
 # exact sampler
 # ---------------------------------------------------------------------------
 
 class ExactSamplerContext:
     """Coefficient tables for size-conditioned exact sampling at one nu.
 
-    The case weights are the word table's integer peeling terms of the
-    state c(word, n) = d^n [t^n] Z_word, read before the root-edge factor:
-    they differ from the case probabilities times [t^n] Z_word by one
-    positive constant per (word, n), and the choice is scale-invariant.
+    Every weight is an integer pair (u, v) standing for u + v sqrt7.  The
+    case weights are the word table's integer peeling terms of the state
+    c(word, n) = d^n [t^n] Z_word (nu = m / d), read before the root-edge
+    factor: they differ from the case probabilities times [t^n] Z_word by
+    one positive constant per (word, n), and the choice is scale-invariant.
     Each (word, n) is tabulated once, when it is first drawn from, after
     checking that its terms sum to the state.
     """
@@ -352,12 +265,13 @@ class ExactSamplerContext:
         self.order = max_edges
         self.words = partition.WordTable(self.nu, self.order,
                                          partition.solve_dobrushin(self.nu, self.order))
-        self._cases: dict[tuple[str, int], tuple[list[tuple], list[Scalar]]] = {}
-        self._roots: dict[int, tuple[list[Scalar], list[int], list[Scalar]]] = {}
+        self._m, self._d = _integer_weight(self.nu)
+        self._cases: dict[tuple[str, int], tuple[list[tuple], list[Pair]]] = {}
+        self._roots: dict[int, tuple[list[Pair], list[int], list[Pair]]] = {}
 
-    def case_weights(self, word: str, n: int) -> tuple[list[tuple], list[Scalar]]:
+    def case_weights(self, word: str, n: int) -> tuple[list[tuple], list[Pair]]:
         """The nonzero terms (case, ((child, size), ...), (u, v)) of c(word, n),
-        and their weights u + v sqrt7 as exact scalars.
+        and their weights, the pairs (u, v).
 
         A split case is listed once per size of its first child; the
         children of every case share the size n - 1 (the bare edge has
@@ -369,26 +283,26 @@ class ExactSamplerContext:
             terms = list(words.terms(word, n))
             if words.total(word, terms) != words.state(word, n):
                 raise AssertionError("peeling case weights do not sum to the coefficient")
-            entry = self._cases[word, n] = (terms, [_make(*c) for *_, c in terms])
+            entry = self._cases[word, n] = (terms, [c for *_, c in terms])
         return entry
 
-    def root_classes(self, size: int) -> tuple[list[Scalar], list[int], list[Scalar]]:
+    def root_classes(self, size: int) -> tuple[list[Pair], list[int], list[Pair]]:
         """A sphere draw's root classes at s = 3n + 1, tabulated once per size:
         with nu = m / d and S the integer states, the class weights d S(++, s),
         m S(+-, s), d sum_k S(+, k) S(+, s - k), and the loop split sizes k
         with their nonzero weights S(+, k) S(+, s - k)."""
         entry = self._roots.get(size)
         if entry is None:
-            state = self.words.state
-            m, den = _weight_ratio(self.nu)
+            state, d = self.words.state, (self._d, 0)
             split_sizes, split_weights = [], []
             for k1 in range(2, size - 1):
                 c1, c2 = state("+", k1), state("+", size - k1)
                 if c1 != (0, 0) and c2 != (0, 0):
                     split_sizes.append(k1)
-                    split_weights.append(_make(*c1) * _make(*c2))
-            weights = [den * _make(*state("++", size)), m * _make(*state("+-", size)),
-                       den * sum(split_weights)]
+                    split_weights.append(pair_mul(c1, c2))
+            loops = (sum(u for u, _ in split_weights), sum(v for _, v in split_weights))
+            weights = [pair_mul(d, state("++", size)), pair_mul(self._m, state("+-", size)),
+                       pair_mul(d, loops)]
             entry = self._roots[size] = (weights, split_sizes, split_weights)
         return entry
 
@@ -397,13 +311,24 @@ def _sample_gon_exact(ctx: ExactSamplerContext, word: str, n: int,
                       rng: random.Random) -> _Piece:
     if ctx.words.state(word, n) == (0, 0):
         raise CoefficientsMissing(f"[t^{n}] Z_{word} = 0")
+    piece = _draw_piece(ctx, word, n, rng)
+    if piece.word() != normalize_word(word):
+        raise AssertionError("reconstructed boundary word mismatch")
+    return piece
 
-    def make_node(w: str, size: int) -> _Node:
-        terms, weights = ctx.case_weights(w, size)
-        case, children, _ = terms[pick_weighted(weights, rng)]
-        return _Node(w, case, [make_node(cw, cn) for cw, cn in children])
 
-    return _build_from_tree(make_node(word, n))
+def _draw_piece(ctx: ExactSamplerContext, word: str, n: int, rng: random.Random) -> _Piece:
+    """A p-gon of size n with boundary `word`: its peeling case, then its
+    children's pieces in order (so the draws read the RNG in pre-order),
+    glued by the inverse peeling step."""
+    terms, weights = ctx.case_weights(word, n)
+    case, children, _ = terms[pick_weighted(weights, rng)]
+    kids = [_draw_piece(ctx, cw, cn, rng) for cw, cn in children]
+    if case[0] == "edge":
+        return _edge_piece(*word_to_spins(word))
+    if case[0] == "insert":
+        return _attach_new_vertex(kids[0])
+    return _attach_split(kids[0], kids[1])
 
 
 def exact_sample(nu: Scalar, n: int, seed: int,
@@ -429,18 +354,13 @@ def exact_sample(nu: Scalar, n: int, seed: int,
     rng = random.Random(derive_seed(seed, "exact"))
     weights, split_sizes, split_weights = ctx.root_classes(size)
     case = pick_weighted(weights, rng)
-    if case == 0:
-        piece = _sample_gon_exact(ctx, "++", size, rng)
-        result = _close_2gon(piece)
-    elif case == 1:
-        piece = _sample_gon_exact(ctx, "+-", size, rng)
-        result = _close_2gon(piece)
+    if case < 2:
+        result = _close_2gon(_sample_gon_exact(ctx, ("++", "+-")[case], size, rng))
     else:
         k1 = split_sizes[pick_weighted(split_weights, rng)]
-        piece1 = _sample_gon_exact(ctx, "+", k1, rng)
-        piece2 = _sample_gon_exact(ctx, "+", size - k1, rng)
-        result = _close_loop_pair(piece1, piece2)
-    if pick_weighted([1, 1], rng) == 1:
+        result = _close_loop_pair(_sample_gon_exact(ctx, "+", k1, rng),
+                                  _sample_gon_exact(ctx, "+", size - k1, rng))
+    if pick_weighted([(1, 0), (1, 0)], rng) == 1:
         result = result.flipped_spins()
     result.validate("sphere")
     if result.n_edges != 3 * n:
@@ -460,28 +380,40 @@ class BoltzmannContext(ExactSamplerContext):
     The size n is drawn with weight [t^n] Z_w t^n (`size_weights`), and the
     map of that size from the size-n Gibbs law by the exact sampler's peeling
     weights (Duchon-Flajolet-Louchard-Schaeffer), so every probability is
-    exact.  Sizes past the order are left out.
+    exact.  Sizes past the order are left out.  With t = tp / tden and
+    nu = m / d, the size weights are integer pairs, all scaled by the one
+    constant (d tden)^order, which `value` divides out.
     """
 
     def __init__(self, nu: Scalar, t: Scalar, series_order: int = 30):
-        super().__init__(nu, series_order)
         self.t = as_scalar(t)
         if not self.t > 0:
             raise ValueError("the fugacity t must be positive")
-        self._sizes: dict[str, list[Scalar]] = {}
+        super().__init__(nu, series_order)
+        (self._tp,), tden = integer_pairs([self.t])
+        self._step = self._d * tden
+        self._sizes: dict[str, list[Pair]] = {}
 
-    def size_weights(self, word: str) -> list[Scalar]:
-        """[t^n] Z_word t^n for n = 0..order, tabulated once per word."""
+    def size_weights(self, word: str) -> list[Pair]:
+        """[t^n] Z_word t^n (d tden)^order for n = 0..order, tabulated once per
+        word: the state d^n [t^n] Z_word times tp^n (d tden)^(order - n)."""
         weights = self._sizes.get(word)
         if weights is None:
-            coeff, t = self.words.coeff, self.t
-            weights = self._sizes[word] = [coeff(word, n) * t ** n
-                                           for n in range(self.order + 1)]
+            state, order = self.words.state, self.order
+            weights, tp_n = [], (1, 0)
+            for n in range(order + 1):
+                u, v = pair_mul(state(word, n), tp_n)
+                scale = self._step ** (order - n)
+                weights.append((u * scale, v * scale))
+                tp_n = pair_mul(tp_n, self._tp)
+            self._sizes[word] = weights
         return weights
 
     def value(self, word: str) -> Scalar:
         """Z_word(t) truncated at the order, exactly."""
-        return sum(self.size_weights(word))
+        weights = self.size_weights(word)
+        total = (sum(u for u, _ in weights), sum(v for _, v in weights))
+        return pair_scalar(total, self._step ** self.order)
 
 
 def boltzmann_sample(omega: str, nu: Scalar, ctx: BoltzmannContext, seed: int) -> CombMap:
@@ -575,13 +507,6 @@ def _insert_vertex_in_face(alpha: list[int], sigma: list[int]) -> None:
     _set_faces(alpha, sigma, ((x, py, qx), (y, pz, qy), (z, px, qz)))
 
 
-def _set_faces(alpha: list[int], sigma: list[int], faces) -> None:
-    """Rewire sigma so that each given dart cycle is a face (a phi-cycle)."""
-    for face in faces:
-        for u, v in zip(face, face[1:] + face[:1]):
-            sigma[alpha[u]] = v
-
-
 def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int,
                 validate_every: int = 10_000,
                 collector=None) -> CombMap:
@@ -594,14 +519,16 @@ def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int,
     the end."""
     if n < 1:
         raise ValueError("a sphere triangulation has 3n >= 3 edges")
-    m, den = _weight_ratio(as_scalar(nu))
+    m, d = _integer_weight(as_scalar(nu))
+    den = (d, 0)
+    powers = [((1, 0), (1, 0)), (m, den)]       # (m^D, den^D), grown on demand
     rng = random.Random(derive_seed(seed, "mcmc"))
     alpha, sigma = _fan_triangulation(n)
     state = McmcState(alpha, sigma, 0, [1] * len(alpha), 0, [])
     state.mono, state.vmins = state.recompute_mono(), state.recompute_vmins()
 
     for step in range(steps):
-        _heat_bath(state, m, den, rng)
+        _heat_bath(state, powers, rng)
         _flip_move(state, m, den, rng)
         state.root = rng.randrange(len(state.alpha))
         if collector is not None:
@@ -635,27 +562,32 @@ def _vertex_mins(sigma: list[int], darts) -> set[int]:
     return out
 
 
-def _heat_bath(state: McmcState, m: Scalar, den: int, rng: random.Random) -> None:
+def _heat_bath(state: McmcState, powers: list[tuple[Pair, Pair]],
+               rng: random.Random) -> None:
     """Resample one vertex spin: with nu = m / den, the weights nu^k+ : nu^k-
-    of the two spins scale to m^k+ den^k- : m^k- den^k+."""
+    of the two spins scale to m^D : den^D, D = |k+ - k-|, in this order when
+    k+ >= k-; `powers[D]` is (m^D, den^D), and the list grows on demand."""
+    sigma, alpha, spin = state.sigma, state.alpha, state.spin
     start = state.vmins[rng.randrange(len(state.vmins))]
     cyc = [start]           # the vertex's darts, from its least one
-    d = state.sigma[start]
+    d = sigma[start]
     while d != start:
         cyc.append(d)
-        d = state.sigma[d]
+        d = sigma[d]
     darts = set(cyc)
     # spins across the edges to other vertices: loops stay monochromatic
-    nbrs = [state.spin[state.alpha[d]] for d in cyc if state.alpha[d] not in darts]
+    nbrs = [spin[alpha[d]] for d in cyc if alpha[d] not in darts]
     k_plus = nbrs.count(1)
     k_minus = len(nbrs) - k_plus
-    w_plus = m ** k_plus * den ** k_minus
-    w_minus = m ** k_minus * den ** k_plus
-    new_spin = 1 if pick_weighted([w_plus, w_minus], rng) == 0 else -1
-    if new_spin != state.spin[cyc[0]]:
+    D = abs(k_plus - k_minus)
+    while len(powers) <= D:
+        powers.append(tuple(map(pair_mul, powers[-1], powers[1])))
+    weights = powers[D] if k_plus >= k_minus else powers[D][::-1]
+    new_spin = 1 if pick_weighted(weights, rng) == 0 else -1
+    if new_spin != spin[start]:
         state.mono += (k_plus - k_minus) * new_spin
         for d in cyc:
-            state.spin[d] = new_spin
+            spin[d] = new_spin
 
 
 def _flip_edge(alpha: list[int], sigma: list[int],
@@ -679,7 +611,7 @@ def _flip_edge(alpha: list[int], sigma: list[int],
     return before, after
 
 
-def _flip_move(state: McmcState, m: Scalar, den: int, rng: random.Random) -> None:
+def _flip_move(state: McmcState, m: Pair, den: Pair, rng: random.Random) -> None:
     """Flip one edge, accepted with probability min(1, nu^delta), nu = m / den."""
     sigma, alpha, spin = state.sigma, state.alpha, state.spin
     g = rng.randrange(len(alpha))

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isingtri import partition
 from isingtri.acceptance import gibbs_law
 from isingtri.criticality import critical_point
-from isingtri.exactnum import NU_C, QuadExt
+from isingtri.exactnum import NU_C, QuadExt, integer_pairs, pair_mul, sign_sqrt7
 from isingtri.maps import enumerate_maps
 from isingtri.maps.combmap import CombMap, InvalidMap
 from isingtri.partition import solve_dobrushin, WordTable
@@ -38,17 +39,18 @@ NU = Fraction(2)
 
 def test_pick_weighted_exact_frequencies():
     rng = random.Random(11)
+    w, _ = integer_pairs([Fraction(3), Fraction(0), Fraction(1)])
     counts = [0, 0, 0]
     n = 20000
     for _ in range(n):
-        counts[pick_weighted([Fraction(3), Fraction(0), Fraction(1)], rng)] += 1
+        counts[pick_weighted(w, rng)] += 1
     assert counts[1] == 0
     assert abs(counts[0] / n - 0.75) < 0.02
 
 
 def test_pick_weighted_quadratic_field_weights():
     rng = random.Random(12)
-    w = [NU_C, QuadExt(3, Fraction(-1, 7))]      # total = 4
+    w, _ = integer_pairs([NU_C, QuadExt(3, Fraction(-1, 7))])      # total = 4
     counts = [0, 0]
     n = 20000
     for _ in range(n):
@@ -88,9 +90,39 @@ def test_pick_weighted_matches_reference_bit_for_bit(weights, seed):
     if not sum(weights) > 0:
         return
     rng, ref_rng = random.Random(seed), random.Random(seed)
+    pairs, _ = integer_pairs(weights)
     for _ in range(3):
-        assert pick_weighted(weights, rng) == reference_pick_weighted(weights, ref_rng)
+        assert pick_weighted(pairs, rng) == reference_pick_weighted(weights, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
+
+
+_positive_pairs = st.builds(lambda a, b: (a, b) if sign_sqrt7(a, b) > 0 else (-a, -b),
+                            st.integers(-40, 40), st.integers(-15, 15)).filter(lambda p: p != (0, 0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(weights=st.lists(_exact_weights, min_size=1, max_size=6), scale=_positive_pairs,
+       seed=st.integers(0, 2**32))
+def test_pick_weighted_ignores_a_common_positive_scale(weights, scale, seed):
+    # every caller scales its weights by one positive constant of Z[sqrt7]
+    if not sum(weights) > 0:
+        return
+    pairs, _ = integer_pairs(weights)
+    scaled = [pair_mul(scale, w) for w in pairs]
+    rng, scaled_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert pick_weighted(pairs, rng) == pick_weighted(scaled, scaled_rng)
+        assert rng.getstate() == scaled_rng.getstate()
+
+
+def test_pick_weighted_rejects_negative_and_vanishing_weights():
+    rng = random.Random(1)
+    with pytest.raises(ValueError, match="negative weight"):
+        pick_weighted([(3, 0), (1, -1)], rng)          # 1 - sqrt7 < 0
+    with pytest.raises(ValueError, match="negative weight"):
+        pick_weighted([(-1, 0), (2, 0)], rng)
+    with pytest.raises(ValueError, match="all weights vanish"):
+        pick_weighted([(0, 0), (0, 0)], rng)
 
 
 def reference_case_weights(words, word, n):
@@ -132,12 +164,13 @@ def test_case_weights_proportional_to_reference(nu):
                 ref = reference_case_weights(ctx.words, word, n)
                 terms, weights = ctx.case_weights(word, n)
                 assert [t[:2] for t in terms] == [r[:2] for r in ref]
-                assert weights == [QuadExt(u, v) for *_, (u, v) in terms]
+                assert weights == [c for *_, c in terms]
                 if not ref:
                     continue
-                scale = ref[0][2] / weights[0]
+                scalars = [QuadExt(u, v) for u, v in weights]
+                scale = ref[0][2] / scalars[0]
                 assert scale > 0
-                assert all(r[2] == scale * w for r, w in zip(ref, weights))
+                assert all(r[2] == scale * w for r, w in zip(ref, scalars))
 
 
 def test_builder_pieces():
@@ -435,6 +468,36 @@ def test_boltzmann_sample_matches_enumerated_law_tv():
     assert sum(v for k, v in counts.items() if k not in law) == 0
     tv = sum(abs(counts.get(k, 0) / reps - float(p / total)) for k, p in law.items()) / 2
     assert tv < 0.05
+
+
+def test_boltzmann_context_checks_the_fugacity_before_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before checking t")
+
+    monkeypatch.setattr(partition, "solve_dobrushin", no_solve)
+    for t in (Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="fugacity"):
+            BoltzmannContext(NU, t)
+
+
+# the QuadExt arithmetic that the benchmark tracer counts as exactnum.quadext_ops
+_QUADEXT_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse")
+
+
+def test_samplers_do_no_quadext_arithmetic_at_nu_c(monkeypatch):
+    ctx = ExactSamplerContext(NU_C, 10)
+    ops = [0]
+    for name in _QUADEXT_OPS:
+        def counted(*args, _f=getattr(QuadExt, name)):
+            ops[0] += 1
+            return _f(*args)
+        monkeypatch.setattr(QuadExt, name, counted)
+    mcmc_sample(NU_C, 3, 400, seed=9)
+    assert ops[0] == 0
+    for i in range(30):
+        exact_sample(NU_C, 3, seed=i, ctx=ctx)
+    assert ops[0] == 0
 
 
 def test_boltzmann_validates_boundary():
