@@ -41,6 +41,17 @@ def _result_hash(payload) -> str:
     return sha256(_canonical_json(payload).encode()).hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set in MB: VmHWM where /proc has it (Linux
+    carries the spawning process's high-water mark into ru_maxrss), else ru_maxrss."""
+    try:
+        with open("/proc/self/status") as status:
+            kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(kb / 1024, 2)
+
+
 def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None,
           extra: dict | None = None) -> None:
     manifest = {
@@ -50,7 +61,7 @@ def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None,
         "seeds": seeds,
         "rng_algorithm": sampler.RNG_ALGORITHM if seeds else None,
         "wallclock_s": round(time.time() - t0, 3),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
+        "peak_rss_mb": _peak_rss_mb(),
         "output_hashes": {"result": _result_hash(result)},
         **(extra or {}),
     }

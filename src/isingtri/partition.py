@@ -12,29 +12,28 @@ system reproduces the brute-force oracle through every tested order.
 
 `solve_dobrushin` computes each t-layer once, in one pass, from the layers
 below it only, over the integers (rational nu) or Z[sqrt7] (nu in Q(sqrt7)),
-forming each S Z+ product once and mirroring S in x and y.  `WordTable`
-computes each (word, size) state once, on demand, over the same rings, from
-the smaller states the root-edge peeling identity reads; a p-gon has at
-least 2p - 3 edges, so states below that size budget are zero and never
-computed.  Both convert to exact scalars only at the end.  `peeling_cases` is
-the one list of peeling cases, read by the word table and by both samplers;
-the exact sampler's case weights are the word table's own integer terms.
-`solve_U` likewise computes each t^3-layer of the U series once, from the
-layers below it, in exact scalars.  No engine here calls the generic Picard
-solver `series.solve_fixed_point`.
+forming each S Z+ product once and mirroring S in x and y; it keeps those
+scaled layers.  `WordTable` reads every word of at most two cyclic blocks
+from them and computes each state of any other word once, on demand, from
+the smaller states the root-edge peeling identity reads.  Both convert to
+exact scalars only at the end.  `peeling_cases` is the one list of peeling
+cases, read by the word table and by both samplers; the exact sampler's case
+weights are the word table's own integer terms.  `solve_U` likewise
+computes each t^3-layer of the U series once, from the layers below it, in
+exact scalars.  No engine here calls the generic Picard solver
+`series.solve_fixed_point`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import (QuadExt, Scalar, _integer_weight, as_scalar, format_scalar, pair_mul,
-                       pair_scalar)
+from .exactnum import Scalar, _integer_weight, as_scalar, format_scalar, pair_mul, pair_scalar
 from .series import BivSeries, DegreeOverflow, NotContractive, TSeries
 
 
 class SeedMissing(KeyError):
-    """Length-1/2 boundary series requested before solve_dobrushin ran."""
+    """A boundary word read before the table was seeded from solve_dobrushin."""
 
 
 def _inv(s: Scalar) -> Scalar:
@@ -46,11 +45,13 @@ def _inv(s: Scalar) -> Scalar:
 # ---------------------------------------------------------------------------
 
 class DobrushinTable:
-    """Joint solution of the two peeling equations, with extracted slices."""
+    """Joint solution of the two peeling equations, with extracted slices and
+    `layers` = (M, Z), the t-layers of S and Z+ scaled as in `_dobrushin_terms`."""
 
-    def __init__(self, nu: Scalar, order: int, mixed: BivSeries, zplus: BivSeries):
+    def __init__(self, nu: Scalar, order: int, mixed: BivSeries, zplus: BivSeries, layers):
         self.nu = nu
         self.order = order
+        self.layers = layers
         self.mixed = mixed                                  # S(x, y): words +^p -^q, p, q >= 1
         self.zplus = zplus                                  # Z+(x): words +^p, at y-degree 0
         self.z_plus = zplus.extract_tseries(1, 0)           # Z_+  = [x] Z+(x)
@@ -166,7 +167,7 @@ def solve_dobrushin(nu: Scalar, order: int) -> DobrushinTable:
     mixed.coeffs = {(k, i, j): c for k, (i, j), c in _unscaled(M, d)}
     zplus = BivSeries(nu, order, cap, cap)
     zplus.coeffs = {(k, i, 0): c for k, i, c in _unscaled(Z, d)}
-    return DobrushinTable(nu, order, mixed, zplus)
+    return DobrushinTable(nu, order, mixed, zplus, (M, Z))
 
 
 # ---------------------------------------------------------------------------
@@ -190,72 +191,49 @@ def peeling_cases(word: str) -> list[tuple[tuple, tuple[str, ...]]]:
     return cases
 
 
-def _scaled(series: TSeries, d: int) -> dict[int, tuple[int, int]]:
-    """k -> (u, v) with (u + v sqrt7) / d^k = [t^k] series, in increasing k."""
-    out = {}
-    for k, c in sorted(series.coeffs.items()):
-        a, b = (c.a, c.b) if isinstance(c, QuadExt) else (c, Fraction(0))
-        a, b = a * d ** k, b * d ** k
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError(f"[t^{k}] is not an integer over d^{k}")
-        out[k] = (a.numerator, b.numerator)
-    return out
-
-
 _FLIP = str.maketrans("+-", "-+")
 
 
 class WordTable:
     """Boundary-word series at one (nu, order), computed state by state.
 
-    Words of length 1 and 2 are seeded from a Dobrushin table.  For a longer
-    word w, the state c(w, n) = d^n [t^n] Z_w, with nu = m / d, is an integer
-    (or a pair u, v standing for u + v sqrt7) given by the root-edge peeling
-    identity over `peeling_cases`,
+    The state c(w, n) = d^n [t^n] Z_w, with nu = m / d, is an integer (or a
+    pair u, v standing for u + v sqrt7).  Re-rooting along the boundary and
+    mirroring are bijections, so words are keyed by their least rotation or
+    reversal, of themselves or of their spin flip.  A key +^a -^b (at most
+    two cyclic blocks) is read from the Dobrushin table's layers; any other
+    key is computed by the root-edge peeling identity over `peeling_cases`,
 
         Z_w = weight t (sum_c Z_{c+w} + sum_i Z_{w[:i]} Z_{w[i-1:]}),
 
-    from states of size below n only; each state is computed once, on demand.
-    A p-gon has at least 2p - 3 edges, so c(w, n) = 0 for n < 2p - 3: this
-    size budget bounds the states one coefficient reaches.  Words and their
-    spin flips share one state.  `terms` lists the identity's nonzero terms,
-    which the exact sampler reads as its case weights, and `total` weighs
-    them by the root edge.  `state` reads one integer state, `coeff` the
-    scalar it stands for; `series` assembles t^0..t^order into `entries`,
-    which keeps the scalars (the samplers read states only).
+    from states of size below n only, each once, on demand.  A p-gon has at
+    least 2p - 3 edges, so c(w, n) = 0 for n < 2p - 3: this size budget
+    bounds the states one coefficient reaches.  `terms` lists the identity's
+    nonzero terms, which the exact sampler reads as its case weights, and
+    `total` weighs them by the root edge.  `state` reads one integer state,
+    `coeff` the scalar it stands for; `series` assembles t^0..t^order into
+    `entries`, which keeps the scalars (the samplers read states only).
     """
 
     def __init__(self, nu: Scalar, order: int, dobrushin: DobrushinTable | None = None):
         self.nu = as_scalar(nu)
         self.order = order
+        if dobrushin is not None and (dobrushin.nu != self.nu or dobrushin.order < order):
+            raise ValueError("Dobrushin table must match nu and reach the order")
         self.p_max = max(2, (order + 3) // 2)    # longer words vanish below the order
         self.entries: dict[str, TSeries] = {}
         self._m, self._d = _integer_weight(self.nu)
-        self._seeds: dict[str, dict] = {}        # seed series as scaled integer layers
+        self._layers = None if dobrushin is None else dobrushin.layers    # (M, Z)
         self._states: dict[tuple[str, int], tuple[int, int] | None] = {}
         self._read: dict[tuple[str, int], tuple[int, int]] = {}   # _state results, by word
-        if dobrushin is not None:
-            self.seed_from(dobrushin)
-
-    def seed_from(self, table: DobrushinTable) -> None:
-        if table.nu != self.nu or table.order < self.order:
-            raise ValueError("Dobrushin table must match nu and reach the order")
-        z1 = table.z_plus.with_order(self.order)
-        z2 = table.z_plusplus.with_order(self.order)
-        zpm = table.z_plusminus.with_order(self.order)
-        self.entries.update({"+": z1, "-": z1, "++": z2, "--": z2, "+-": zpm, "-+": zpm})
-        for word in ("+", "++", "+-"):
-            self._seeds[word] = _scaled(self.entries[word], self._d)
 
     def _key(self, word: str) -> str:
-        return min(word, word.translate(_FLIP))
+        """The least rotation or reversal of `word` or of its spin flip."""
+        flip = word.translate(_FLIP)
+        return min(w[i:] + w[:i] for w in (word, word[::-1], flip, flip[::-1])
+                   for i in range(len(w)))
 
     def series(self, word: str) -> TSeries:
-        if len(word) <= 2:
-            try:
-                return self.entries[word]
-            except KeyError:
-                raise SeedMissing("length-1/2 words must be seeded from solve_dobrushin")
         if len(word) > self.p_max:
             return TSeries.zero(self.nu, self.order)
         key = self._key(word)
@@ -270,22 +248,25 @@ class WordTable:
 
     def state(self, word: str, n: int) -> tuple[int, int]:
         """c(word, n) = d^n [t^n] Z_word as the pair (u, v) of u + v sqrt7, for n <= order."""
-        if not self._seeds:
-            raise SeedMissing("length-1/2 words must be seeded from solve_dobrushin")
+        if self._layers is None:
+            raise SeedMissing("the word table must be seeded from solve_dobrushin")
         if n > self.order:
             raise ValueError(f"t^{n} is beyond the table order {self.order}")
         return self._state(word, n)
 
     def _state(self, word: str, n: int) -> tuple[int, int]:
-        """`state` without its checks, memoised by the word as read and over flip keys."""
+        """`state` without its checks, memoised by the word as read and over keys."""
         if n < 2 * len(word) - 3:
             return 0, 0
         c = self._read.get((word, n))
         if c is not None:
             return c
         key = self._key(word)
-        if len(key) <= 2:
-            c = self._seeds[key].get(n, (0, 0))
+        plus = key.rstrip("-")
+        if "-" not in plus:                     # +^a -^b: at most two cyclic blocks
+            M, Z = self._layers
+            b = len(key) - len(plus)
+            c = (M[n].get((len(plus), b)) if b else Z[n].get(len(plus))) or (0, 0)
         else:
             state = (key, n)
             c = self._states.get(state)
@@ -298,7 +279,7 @@ class WordTable:
         return c
 
     def _rule(self, word: str, n: int) -> tuple[int, int]:
-        """c(word, n) by the peeling identity, for |word| >= 3."""
+        """c(word, n) by the peeling identity."""
         return self.total(word, self.terms(word, n))
 
     def terms(self, word: str, n: int):

@@ -151,7 +151,7 @@ def _attach_new_vertex(inner: _Piece) -> _Piece:
     spin = inner.spin + [inner.spin[ys[0]], inner.spin[ys[-1]]]
     # the internal triangle, and the new root face (the loop [d2] when p = 1)
     _set_faces(alpha, sigma, ([d1, ys[-1], rbar], [d2] + ys[:-1]))
-    return _finish(_Piece(alpha, sigma, d1, spin))
+    return _Piece(alpha, sigma, d1, spin)
 
 
 def _attach_split(left: _Piece, right: _Piece) -> _Piece:
@@ -179,7 +179,7 @@ def _attach_split(left: _Piece, right: _Piece) -> _Piece:
     spin += [wp_spin, w1_spin]
     # the triangle, and the new root face
     _set_faces(alpha, sigma, ([d1, rbar1, rbar2], [d2] + ss + us))
-    return _finish(_Piece(alpha, sigma, d1, spin))
+    return _Piece(alpha, sigma, d1, spin)
 
 
 def _set_faces(alpha: list[int], sigma: list[int], faces) -> None:
@@ -189,8 +189,9 @@ def _set_faces(alpha: list[int], sigma: list[int], faces) -> None:
             sigma[alpha[u]] = v
 
 
-def _finish(piece: _Piece) -> _Piece:
-    piece.to_map().validate("pgon", len(piece.root_face_cycle()))
+def _finish(piece: _Piece, p: int) -> _Piece:
+    """`piece`, once its darts are checked to make a triangulation of the p-gon."""
+    CombMap(piece.alpha, piece.sigma, piece.root).validate("pgon", p)
     return piece
 
 
@@ -320,15 +321,14 @@ def _sample_gon_exact(ctx: ExactSamplerContext, word: str, n: int,
 def _draw_piece(ctx: ExactSamplerContext, word: str, n: int, rng: random.Random) -> _Piece:
     """A p-gon of size n with boundary `word`: its peeling case, then its
     children's pieces in order (so the draws read the RNG in pre-order),
-    glued by the inverse peeling step."""
+    glued by the inverse peeling step and checked as a p-gon."""
     terms, weights = ctx.case_weights(word, n)
     case, children, _ = terms[pick_weighted(weights, rng)]
     kids = [_draw_piece(ctx, cw, cn, rng) for cw, cn in children]
     if case[0] == "edge":
         return _edge_piece(*word_to_spins(word))
-    if case[0] == "insert":
-        return _attach_new_vertex(kids[0])
-    return _attach_split(kids[0], kids[1])
+    glue = _attach_new_vertex if case[0] == "insert" else _attach_split
+    return _finish(glue(*kids), len(word))
 
 
 def exact_sample(nu: Scalar, n: int, seed: int,

@@ -56,6 +56,18 @@ def test_manifest_records_peak_memory():
             jsonschema.validate({**manifest, "peak_rss_mb": "17 MB"}, schema)
 
 
+def test_peak_memory_is_this_process_only():
+    # a parent with a 64 MB high-water mark spawns the command
+    script = ("import subprocess, sys\n"
+              "held = b'x' * (64 << 20)\n"
+              "sys.stdout.write(subprocess.run([sys.executable, '-m', 'isingtri.cli', 'critical',"
+              " '--nu', '2'], capture_output=True, text=True, check=True).stdout)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["manifest"]["peak_rss_mb"] < 40
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("critical", "--nu", "1", "--bogus")
     assert proc.returncode == 2
@@ -106,8 +118,14 @@ def test_coeffs_json_and_rerun_bit_identical():
      "37c63f4e367c11d38f86db01011957429b8a90b32dd368e0224c9701ae8bcf3e"),
     (("--nu", "1/2", "--target", "U", "--order", "90"),
      "f1d020feca18c0461b89e1bc3f80383fb85dd654f8dc058f08c61387e1ed3141"),
+    # a two-block word, read from the Dobrushin table
+    (("--nu", "2", "--target", "word:+++--", "--order", "20"),
+     "f94c2967b2107ba5053efb761f212dbe0cf529ba2aa6322348f4622a4a19cd78"),
+    # a four-block word, computed by the peeling recursion
+    (("--nu", "3/2", "--target", "word:+-++-", "--order", "18"),
+     "c8374863d949804577dcbc07c88839224e3a9b2e2f60213ae67626ac78f258af"),
 ], ids=["sphere-nu_c-25", "sphere-1-39", "zplus6-2-24", "word-2-15", "word-nu_c-14",
-        "U-nu_c-60", "U-1/2-90"])
+        "U-nu_c-60", "U-1/2-90", "word-2-20", "word-3/2-18"])
 def test_coeffs_output_hash_pinned(args, result_hash):
     proc = run_cli("coeffs", *args)
     assert proc.returncode == 0
@@ -164,8 +182,14 @@ def test_sample_exact_output_hash_pinned():
     # QuadExt weights in both Markov-chain moves
     (("mcmc", "--nu", "nu_c", "--n", "3", "--steps", "400", "--reps", "2", "--seed", "9"),
      "23b7e79a60245bfd4c740dacbffb710764514c01f63753bd3fa27119d382605a"),
+    # draws that reach words of four and more cyclic blocks
+    (("exact", "--nu", "2", "--n", "8", "--reps", "10", "--seed", "1"),
+     "abfb26a1d1de923ce7e76b90baf9fb5b5d93fad5030ac4b8a1c420b2040f8b8c"),
+    (("exact", "--nu", "nu_c", "--n", "4", "--reps", "5", "--seed", "2"),
+     "4ddeed980bf1832d7cbd041a44ef0f2863048c165b35f9602168b6638a19da69"),
 ], ids=["boltzmann-2-7", "exact-2-6", "exact-3/2-3", "mcmc-3/2-4", "mcmc-1/3-4",
-        "boltzmann-1/2-15", "exact-nu_c-2", "mcmc-2-30", "mcmc-nu_c-3"])
+        "boltzmann-1/2-15", "exact-nu_c-2", "mcmc-2-30", "mcmc-nu_c-3", "exact-2-8",
+        "exact-nu_c-4"])
 def test_sample_output_hash_pinned(args, result_hash):
     proc = run_cli("sample", *args)
     assert proc.returncode == 0

@@ -341,15 +341,8 @@ def test_word_table_rejects_a_rule_without_its_power_of_t(monkeypatch):
 
     monkeypatch.setattr(WordTable, "_rule", reads_own_state)
     with pytest.raises(NotContractive):
-        WordTable(NU, 9, solve_dobrushin(NU, 9)).series("+++")
-
-
-def test_word_table_rejects_a_seed_off_the_integer_lattice():
-    # with nu = 3 = 3/1, every [t^k] of a genuine seed is an integer
-    table = solve_dobrushin(NU, 6)
-    table.z_plus = table.z_plus + TSeries.monomial(NU, table.order, 5, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        WordTable(NU, 6, table)
+        # a four-block word: the peeling recursion computes it
+        WordTable(NU, 9, solve_dobrushin(NU, 9)).series("+-+-")
 
 
 def test_seed_missing():
@@ -359,7 +352,7 @@ def test_seed_missing():
 
 
 def test_word_requires_length_three():
-    # words of length 1 and 2 are the Dobrushin seeds, never solved by peeling
+    # words of length 1 and 2 are Dobrushin entries, never solved by peeling
     table = solve_dobrushin(NU, 6)
     words = WordTable(NU, 6, table)
     for word, seed in (("+", table.z_plus), ("++", table.z_plusplus), ("+-", table.z_plusminus)):
@@ -369,6 +362,47 @@ def test_word_requires_length_three():
     assert not words._states
     with pytest.raises(SeedMissing):
         WordTable(NU, 6).series("++")
+
+
+def two_block_words(p):
+    """Every word of length p with at most two cyclic blocks."""
+    blocks = ["+" * a + "-" * (p - a) for a in range(p + 1)]
+    return sorted({w[i:] + w[:i] for w in blocks for i in range(p)})
+
+
+@WORD_NUS
+def test_peeling_rule_matches_the_dobrushin_entries(nu):
+    # the two engines check each other: the peeling identity over the table's
+    # entries (and over the recursion's four-block states) gives each entry
+    words = WordTable(nu, 12, solve_dobrushin(nu, 12))
+    checked = 0
+    for p in range(3, words.p_max + 1):
+        for w in two_block_words(p):
+            for n in range(words.order + 1):
+                assert words._rule(w, n) == words.state(w, n), (w, n)
+                checked += words.state(w, n) != (0, 0)
+    assert checked > 100
+
+
+def test_two_block_words_are_read_from_the_dobrushin_table():
+    words = WordTable(NU, 12, solve_dobrushin(NU, 12))
+    for w in ("+++-", "--++", "+-"):
+        assert not words.series(w).is_zero()
+    assert not words._states
+    words.series("+-+-")
+    assert any(key == "+-+-" for key, _ in words._states)
+
+
+def test_word_key_is_one_per_rotation_reversal_and_flip():
+    words = WordTable(NU, 9, solve_dobrushin(NU, 9))
+    flip = str.maketrans("+-", "-+")
+    for p in range(1, 7):
+        for bits in itertools.product("+-", repeat=p):
+            w = "".join(bits)
+            orbit = {v[i:] + v[:i] for v in (w, w[::-1], w.translate(flip),
+                                              w[::-1].translate(flip)) for i in range(p)}
+            assert len({words._key(v) for v in orbit}) == 1
+            assert len({tuple(sorted(words.series(v).coeffs.items())) for v in orbit}) == 1
 
 
 def test_sphere_series(table9):

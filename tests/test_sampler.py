@@ -185,6 +185,17 @@ def test_builder_pieces():
     glued.to_map().validate("pgon", 3)
 
 
+def test_each_glued_piece_is_checked_against_its_word(monkeypatch):
+    # a glue step that drops the new root edge leaves a (p + 1)-gon behind
+    from isingtri import sampler
+
+    monkeypatch.setattr(sampler, "_attach_new_vertex", lambda inner: inner)
+    ctx = ExactSamplerContext(NU, 10)
+    with pytest.raises(InvalidMap, match="root face has degree"):
+        for seed in range(20):
+            exact_sample(NU, 3, seed=seed, ctx=ctx)
+
+
 def test_exact_sample_deterministic():
     ctx = ExactSamplerContext(NU, 4)
     a = exact_sample(NU, 1, seed=123, ctx=ctx)
