@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .criticality import (
     CriticalData,
+    boundary_at_tnu,
     critical_point,
     estimate_asymptotics,
-    eval_at_tnu,
     hull_constant_below_yc,
     hull_constant_closed_form,
     hull_slot_factor,
@@ -29,12 +29,10 @@ from .criticality import (
 from .exactnum import NU_C, RHO_NU_C, Y_C, Interval, format_scalar, scalar_to_float
 from .maps import enumerate_maps, min_degree, oracle_series, oracle_sphere
 from .partition import (
-    DobrushinTable,
     WordTable,
     check_q_identities,
     check_U,
     sphere_series,
-    solve_dobrushin,
     solve_U,
     verify_catalytic,
     zplus_recursion,
@@ -58,18 +56,18 @@ class CriterionResult:
 
 
 class AcceptanceContext:
-    """Caches for the expensive shared computations."""
+    """Caches for the expensive shared computations: word tables and critical data."""
 
     def __init__(self, quick: bool = False):
         self.quick = quick
         self._tables: dict = {}
         self._crits: dict = {}
 
-    def table(self, nu, order) -> DobrushinTable:
+    def table(self, nu, order) -> WordTable:
         key = (format_scalar(nu), order)
         hit = self._tables.get(key)
         if hit is None:
-            hit = solve_dobrushin(nu, order)
+            hit = WordTable(nu, order)
             self._tables[key] = hit
         return hit
 
@@ -104,9 +102,8 @@ def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
     mismatches = []
     checked = 0
     for nu in NU_GRID:
-        table = ctx.table(nu, order + 1)
-        words = WordTable(nu, order, table)
-        sph = sphere_series(nu, order, table)
+        words = ctx.table(nu, order + 1)
+        sph = sphere_series(nu, order, words)
         if not sph.eq_to_order(oracle_sphere(nu, order), order):
             mismatches.append((format_scalar(nu), "sphere"))
         for p in (1, 2, 3, 4):
@@ -128,8 +125,7 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
     runs = []
     ok = True
     for nu, order in ((Fraction(1, 2), 15), (Fraction(2), 15), (NU_C, 12)):
-        table = ctx.table(nu, order + 2)
-        rep = verify_catalytic(nu, order, table)
+        rep = verify_catalytic(nu, order, ctx.table(nu, order + 2))
         runs.append({"nu": format_scalar(nu), "order": order,
                      "residual_zero": rep.ok, "degenerate": rep.degenerate})
         ok = ok and rep.ok
@@ -143,7 +139,7 @@ def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
     runs = []
     ok = True
     for nu in (Fraction(1, 2), Fraction(2), NU_C):
-        results = check_q_identities(WordTable(nu, 9, solve_dobrushin(nu, 9)))
+        results = check_q_identities(ctx.table(nu, 9), 9)
         for r in results:
             ok = ok and r.ok
         runs.append({"nu": format_scalar(nu),
@@ -179,11 +175,8 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
     order = _nu_c_order(ctx)
     crit = ctx.crit(NU_C)
-    table = ctx.table(NU_C, order)
     n_eval = order - 1
-    z1 = eval_at_tnu(table.z_plus.with_order(n_eval), crit)
-    z2 = eval_at_tnu(table.z_plusplus.with_order(n_eval), crit)
-    zm = eval_at_tnu(table.z_plusminus.with_order(n_eval), crit)
+    z1, z2, zm = boundary_at_tnu(ctx.table(NU_C, order), crit, n_eval)
     matrix = mean_matrix(crit, z1, z2, zm)
     radius = spectral_radius(matrix)
     lo, hi = radius.float_bounds()
@@ -201,10 +194,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
     order = _nu_c_order(ctx)
     crit = ctx.crit(NU_C)
-    table = ctx.table(NU_C, order)
-    n_eval = order - 1
-    z2 = eval_at_tnu(table.z_plusplus.with_order(n_eval), crit)
-    zm = eval_at_tnu(table.z_plusminus.with_order(n_eval), crit)
+    _, z2, zm = boundary_at_tnu(ctx.table(NU_C, order), crit, order - 1)
     slot = hull_slot_factor(crit, z2, zm)
     closed = hull_constant_closed_form()
     exact_below = hull_constant_below_yc()
@@ -418,11 +408,10 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
         nu = rng.choice([Fraction(1, 3), Fraction(3, 4), Fraction(1), Fraction(5, 3),
                          Fraction(3), NU_C])
         order = rng.randrange(6, 11)
-        table = ctx.table(nu, order + 1)
-        words = WordTable(nu, order, table)
+        words = ctx.table(nu, order + 1)
         p = rng.randrange(1, 5)
         w = "".join(rng.choice("+-") for _ in range(p))
-        series = words.series(w)
+        series = words.series(w).with_order(order)
         for k, c in series.coeffs.items():
             if (k + p) % 3 or k < min_degree(p):
                 failures.append((trial, "support", w, k))
@@ -431,7 +420,8 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
         flipped = words.series(w.translate(str.maketrans("+-", "-+")))
         if not series.eq_to_order(flipped, order):
             failures.append((trial, "spin-flip", w, None))
-        if not table.mixed.eq_to_order(table.mixed.swap_xy(), order):
+        mixed = words.layers[0][:order + 1]           # the t-layers of S(x, y)
+        if any(layer != {(j, i): c for (i, j), c in layer.items()} for layer in mixed):
             failures.append((trial, "xy-symmetry", "", None))
     return CriterionResult(11, "structural invariants (randomized)", not failures,
                            {"failures": failures}, time.time() - t0)

@@ -111,12 +111,10 @@ def cmd_coeffs(args) -> int:
         series = partition.solve_U(nu, order)
     elif target.startswith("word:"):
         word = maps.normalize_word(target[5:])
-        table = partition.solve_dobrushin(nu, order + 1)
-        series = partition.WordTable(nu, order, table).series(word)
+        series = partition.WordTable(nu, order).series(word)
     elif target.startswith("zplus:"):
         p = int(target[6:])
-        table = partition.solve_dobrushin(nu, order + p)
-        series = partition.zplus_recursion(p, nu, order, table)
+        series = partition.zplus_recursion(p, nu, order, partition.WordTable(nu, order + p))
     else:
         raise _unknown_target("coeffs", target)
     if args.out == "csv":
@@ -164,11 +162,10 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     nu = exactnum.parse_scalar(args.nu)
     order = args.order
-    table = partition.solve_dobrushin(nu, order + 2)
-    rep = partition.verify_catalytic(nu, order, table)
+    words = partition.WordTable(nu, order + 2)
+    rep = partition.verify_catalytic(nu, order, words)
     oracle_order = min(order, maps.DEFAULT_CAP)
-    words = partition.WordTable(nu, oracle_order, table)
-    q_results = [r.to_json() for r in partition.check_q_identities(words)]
+    q_results = [r.to_json() for r in partition.check_q_identities(words, oracle_order)]
     oracle_ok = True
     for p in (1, 2, 3):
         for bits in itertools.product("+-", repeat=p):
@@ -202,11 +199,7 @@ def cmd_spectral(args) -> int:
     nu = exactnum.parse_scalar(args.nu)
     order = args.order
     crit = criticality.critical_point(nu)
-    table = partition.solve_dobrushin(nu, order)
-    n_eval = order - 1
-    z1 = criticality.eval_at_tnu(table.z_plus.with_order(n_eval), crit)
-    z2 = criticality.eval_at_tnu(table.z_plusplus.with_order(n_eval), crit)
-    zm = criticality.eval_at_tnu(table.z_plusminus.with_order(n_eval), crit)
+    z1, z2, zm = criticality.boundary_at_tnu(partition.WordTable(nu, order), crit, order - 1)
     matrix = criticality.mean_matrix(crit, z1, z2, zm)
     radius = criticality.spectral_radius(matrix)
     result = {
@@ -229,8 +222,7 @@ def cmd_asymp(args) -> int:
         series = partition.sphere_series(nu, order)
     elif target.startswith("word:"):
         word = maps.normalize_word(target[5:])
-        table = partition.solve_dobrushin(nu, order + 1)
-        series = partition.WordTable(nu, order, table).series(word)
+        series = partition.WordTable(nu, order).series(word)
     else:
         raise _unknown_target("asymp", target)
     crit = criticality.critical_point(nu)

@@ -318,6 +318,12 @@ def eval_at_tnu(series: TSeries, crit: CriticalData, bits: int = 96) -> Interval
     return eval_series_interval(series, crit.t_nu, crit.alpha, bits)
 
 
+def boundary_at_tnu(words, crit: CriticalData, order: int) -> tuple[Interval, Interval, Interval]:
+    """Z_+, Z_++ and Z_+- at t_nu, each from its series in the word table
+    `words` (a `partition.WordTable`) cut at t^order: the spectral inputs."""
+    return tuple(eval_at_tnu(words.series(w).with_order(order), crit) for w in ("+", "++", "+-"))
+
+
 # ---------------------------------------------------------------------------
 # coefficient asymptotics from the series themselves
 # ---------------------------------------------------------------------------
@@ -464,20 +470,18 @@ class MeanMatrix:
         }
 
 
-def mean_matrix(crit: CriticalData, z_plus: Interval, z_plusplus: Interval,
-                z_minusplus: Interval) -> MeanMatrix:
+def mean_matrix(crit: CriticalData, z1: Interval, z2: Interval, zm: Interval) -> MeanMatrix:
     """The 5x5 mean matrix, transcribed entry by entry.
 
-    Inputs are evaluated at t_nu; the rho^(2/3) factors are t_nu^2 (single
-    source of truth for the cube root), and the min/max guards against 1 use
-    the exact nu.
+    The inputs z1, z2, zm are Z_+, Z_++ and Z_+- at t_nu; the rho^(2/3)
+    factors are t_nu^2 (single source of truth for the cube root), and the
+    min/max guards against 1 use the exact nu.
     """
     nu = crit.nu
     T = crit.t_nu
     nmin = scalar_to_float(nu if nu < 1 else Fraction(1), 96)   # 1 ^ nu (min)
     nmax = scalar_to_float(nu if nu > 1 else Fraction(1), 96)   # 1 v nu (max)
     nuv = scalar_to_float(nu, 96)
-    z1, z2, zm = z_plus, z_plusplus, z_minusplus
     zero = Interval(Fraction(0))
     one = Interval(Fraction(1))
 
@@ -551,11 +555,12 @@ def spectral_radius(m: MeanMatrix, tol: Fraction = Fraction(1, 10 ** 8),
 # the hull constant
 # ---------------------------------------------------------------------------
 
-def hull_slot_factor(crit: CriticalData, z_plusplus: Interval, z_plusminus: Interval) -> Interval:
-    """t_nu times the larger 2-gon value: the per-slot factor bounding the
-    radius-1 hull perimeter tail.  At the critical weight this equals the
-    closed form below (ferromagnetic side, so the monochromatic 2-gon wins)."""
-    return crit.t_nu * z_plusplus.max(z_plusminus)
+def hull_slot_factor(crit: CriticalData, z2: Interval, zm: Interval) -> Interval:
+    """t_nu times the larger 2-gon value, of Z_++ (z2) and Z_+- (zm) at t_nu:
+    the per-slot factor bounding the radius-1 hull perimeter tail.  At the
+    critical weight this equals the closed form below (ferromagnetic side, so
+    the monochromatic 2-gon wins)."""
+    return crit.t_nu * z2.max(zm)
 
 
 def hull_constant_closed_form(bits: int = 96) -> Interval:

@@ -12,12 +12,15 @@ system reproduces the brute-force oracle through every tested order.
 
 `solve_dobrushin` computes each t-layer once, in one pass, from the layers
 below it only, over the integers (rational nu) or Z[sqrt7] (nu in Q(sqrt7)),
-forming each S Z+ product once and mirroring S in x and y; it keeps those
-scaled layers.  `WordTable` reads every word of at most two cyclic blocks
-from them and computes each state of any other word once, on demand, from
-the smaller states the root-edge peeling identity reads.  Both convert to
-exact scalars only at the end.  `peeling_cases` is the one list of peeling
-cases, read by the word table and by both samplers; the exact sampler's case
+forming each S Z+ product once and mirroring S in x and y; it returns those
+scaled integer layers and nothing else.  `WordTable` is the one boundary
+table: it solves the layers at its own (nu, order), reads every word of at
+most two cyclic blocks from them, and computes each state of any other word
+once, on demand, from the smaller states the root-edge peeling identity
+reads.  A state becomes an exact scalar only when a coefficient or a series
+is read; every boundary series below (sphere, catalytic check, Q-identities)
+is read from the table.  `peeling_cases` is the one list of peeling cases,
+read by the word table and by both samplers; the exact sampler's case
 weights are the word table's own integer terms.  `solve_U` likewise
 computes each t^3-layer of the U series once, from the layers below it, in
 exact scalars.  No engine here calls the generic Picard solver
@@ -32,10 +35,6 @@ from .exactnum import Scalar, _integer_weight, as_scalar, format_scalar, pair_mu
 from .series import BivSeries, DegreeOverflow, NotContractive, TSeries
 
 
-class SeedMissing(KeyError):
-    """A boundary word read before the table was seeded from solve_dobrushin."""
-
-
 def _inv(s: Scalar) -> Scalar:
     return as_scalar(Fraction(1)) / s if not isinstance(s, Fraction) else Fraction(1) / s
 
@@ -43,21 +42,6 @@ def _inv(s: Scalar) -> Scalar:
 # ---------------------------------------------------------------------------
 # the Dobrushin system: mixed words +^p -^q with two catalytic variables
 # ---------------------------------------------------------------------------
-
-class DobrushinTable:
-    """Joint solution of the two peeling equations, with extracted slices and
-    `layers` = (M, Z), the t-layers of S and Z+ scaled as in `_dobrushin_terms`."""
-
-    def __init__(self, nu: Scalar, order: int, mixed: BivSeries, zplus: BivSeries, layers):
-        self.nu = nu
-        self.order = order
-        self.layers = layers
-        self.mixed = mixed                                  # S(x, y): words +^p -^q, p, q >= 1
-        self.zplus = zplus                                  # Z+(x): words +^p, at y-degree 0
-        self.z_plus = zplus.extract_tseries(1, 0)           # Z_+  = [x] Z+(x)
-        self.z_plusplus = zplus.extract_tseries(2, 0)       # Z_++ = [x^2] Z+(x)
-        self.z_plusminus = mixed.extract_tseries(1, 1)      # Z_+- = [x y] S(x, y)
-
 
 def _dobrushin_terms(M: list, Z: list, k: int, cap: int):
     """The x-side right-hand terms of t-layer k, read from layers 0..k-1.
@@ -127,22 +111,13 @@ def _dobrushin_layer(M: list, Z: list, k: int, m: tuple[int, int], d: int, cap: 
     return new_m, new_z
 
 
-def _unscaled(layers: list, d: int):
-    """(k, key, exact scalar) for every entry, in sorted (k, key) order."""
-    scale = 1
-    for k, layer in enumerate(layers):
-        for key, (u, v) in sorted(layer.items()):
-            yield k, key, pair_scalar((u, v), scale)
-        scale *= d
-
-
-def solve_dobrushin(nu: Scalar, order: int) -> DobrushinTable:
-    """Solve the two-equation system to the given t-order, in one pass.
+def solve_dobrushin(nu: Scalar, order: int) -> tuple[list[dict], list[dict]]:
+    """The t-layers 0..order of S and Z+, (M, Z), scaled as in `_dobrushin_terms`.
 
     Every right-hand term carries a power of t, so t-layer k follows from the
     layers below it: each coefficient is computed once, over Z (rational nu)
-    or Z[sqrt7] (nu in Q(sqrt7)) after scaling layer k by d^k, and converted
-    to an exact scalar at the end.  S is mirrored from its x side.  The
+    or Z[sqrt7] (nu in Q(sqrt7)) after scaling layer k by d^k, and never
+    converted to an exact scalar here.  S is mirrored from its x side.  The
     layer lists grow as layers are solved, so a rule reading layer k or
     above raises NotContractive.  Catalytic degrees are capped at
     max(order, (order + 7) / 2), which the Euler support bound makes
@@ -163,11 +138,7 @@ def solve_dobrushin(nu: Scalar, order: int) -> DobrushinTable:
             raise NotContractive(f"t-layer {k} reads a layer not yet solved") from exc
         M.append(new_m)
         Z.append(new_z)
-    mixed = BivSeries(nu, order, cap, cap)
-    mixed.coeffs = {(k, i, j): c for k, (i, j), c in _unscaled(M, d)}
-    zplus = BivSeries(nu, order, cap, cap)
-    zplus.coeffs = {(k, i, 0): c for k, i, c in _unscaled(Z, d)}
-    return DobrushinTable(nu, order, mixed, zplus, (M, Z))
+    return M, Z
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +166,16 @@ _FLIP = str.maketrans("+-", "-+")
 
 
 class WordTable:
-    """Boundary-word series at one (nu, order), computed state by state.
+    """Every boundary-word series at one (nu, order), computed state by state.
 
-    The state c(w, n) = d^n [t^n] Z_w, with nu = m / d, is an integer (or a
-    pair u, v standing for u + v sqrt7).  Re-rooting along the boundary and
-    mirroring are bijections, so words are keyed by their least rotation or
-    reversal, of themselves or of their spin flip.  A key +^a -^b (at most
-    two cyclic blocks) is read from the Dobrushin table's layers; any other
+    This is the one boundary table: each Z_w, the Dobrushin words +^p -^q
+    and +^p included, is read from it.  The state c(w, n) = d^n [t^n] Z_w,
+    with nu = m / d, is an integer (or a pair u, v standing for
+    u + v sqrt7).  Re-rooting along the boundary and mirroring are
+    bijections, so words are keyed by their least rotation or reversal, of
+    themselves or of their spin flip.  A key +^a -^b (at most two cyclic
+    blocks) is read from `layers` = (M, Z), the integer layers that
+    `solve_dobrushin` returns at the table's (nu, order); any other
     key is computed by the root-edge peeling identity over `peeling_cases`,
 
         Z_w = weight t (sum_c Z_{c+w} + sum_i Z_{w[:i]} Z_{w[i-1:]}),
@@ -215,15 +189,13 @@ class WordTable:
     `entries`, which keeps the scalars (the samplers read states only).
     """
 
-    def __init__(self, nu: Scalar, order: int, dobrushin: DobrushinTable | None = None):
+    def __init__(self, nu: Scalar, order: int):
         self.nu = as_scalar(nu)
         self.order = order
-        if dobrushin is not None and (dobrushin.nu != self.nu or dobrushin.order < order):
-            raise ValueError("Dobrushin table must match nu and reach the order")
+        self.layers = solve_dobrushin(self.nu, order)
         self.p_max = max(2, (order + 3) // 2)    # longer words vanish below the order
         self.entries: dict[str, TSeries] = {}
         self._m, self._d = _integer_weight(self.nu)
-        self._layers = None if dobrushin is None else dobrushin.layers    # (M, Z)
         self._states: dict[tuple[str, int], tuple[int, int] | None] = {}
         self._read: dict[tuple[str, int], tuple[int, int]] = {}   # _state results, by word
 
@@ -248,8 +220,6 @@ class WordTable:
 
     def state(self, word: str, n: int) -> tuple[int, int]:
         """c(word, n) = d^n [t^n] Z_word as the pair (u, v) of u + v sqrt7, for n <= order."""
-        if self._layers is None:
-            raise SeedMissing("the word table must be seeded from solve_dobrushin")
         if n > self.order:
             raise ValueError(f"t^{n} is beyond the table order {self.order}")
         return self._state(word, n)
@@ -264,7 +234,7 @@ class WordTable:
         key = self._key(word)
         plus = key.rstrip("-")
         if "-" not in plus:                     # +^a -^b: at most two cyclic blocks
-            M, Z = self._layers
+            M, Z = self.layers
             b = len(key) - len(plus)
             c = (M[n].get((len(plus), b)) if b else Z[n].get(len(plus))) or (0, 0)
         else:
@@ -330,26 +300,27 @@ class WordTable:
 # sphere series
 # ---------------------------------------------------------------------------
 
-def sphere_series(nu: Scalar, order: int, table: DobrushinTable | None = None) -> TSeries:
-    """The sphere partition series from the 1- and 2-gon slices.
+def sphere_series(nu: Scalar, order: int, words: WordTable | None = None) -> TSeries:
+    """The sphere partition series from the 1- and 2-gon series of `words`,
+    a word table to order + 1 (built here when not given).
 
     The root-edge opening bijection sends sphere triangulations rooted on a
     non-loop to 2-gon triangulations *other than* the bare edge (closing the
     bare edge leaves a single edge on the sphere, which has no triangular
     face), so the edge-triangulation terms nu*t and t are removed from the
-    2-gon slices before recombining.
+    2-gon series before recombining.
     """
     nu = as_scalar(nu)
-    if table is None:
-        table = solve_dobrushin(nu, order + 1)
-    if table.order < order + 1:
-        raise ValueError("Dobrushin table must be solved to order + 1")
+    if words is None:
+        words = WordTable(nu, order + 1)
+    if words.order < order + 1:
+        raise ValueError("the word table must reach order + 1")
     inv_nu = _inv(nu)
-    z1 = table.z_plus
-    mono_pp = TSeries.monomial(nu, table.order, 1, nu)
-    mono_pm = TSeries.monomial(nu, table.order, 1)
-    combo = ((table.z_plusplus - mono_pp).scale(inv_nu)
-             + (table.z_plusminus - mono_pm)
+    z1 = words.series("+")
+    mono_pp = TSeries.monomial(nu, words.order, 1, nu)
+    mono_pm = TSeries.monomial(nu, words.order, 1)
+    combo = ((words.series("++") - mono_pp).scale(inv_nu)
+             + (words.series("+-") - mono_pm)
              + (z1 * z1).scale(inv_nu))
     return combo.shift(-1).scale(Fraction(2)).with_order(order)
 
@@ -500,17 +471,17 @@ class CatalyticReport:
         }
 
 
-def _v_normalized(table: DobrushinTable, order: int, dy: int) -> BivSeries:
-    """V(y) = sum_p t^p Z_{+^p} y^p from the solved pure-boundary slices."""
-    v = BivSeries(table.nu, order, 0, dy)
-    for (k, i, j), c in table.zplus.coeffs.items():
-        kk = k + i
-        if kk <= order:
-            v.coeffs[(kk, 0, i)] = c
+def _v_normalized(words: WordTable, order: int, dy: int) -> BivSeries:
+    """V(y) = sum_p t^p Z_{+^p} y^p through t^order, from the word table."""
+    v = BivSeries(words.nu, order, 0, dy)
+    for p in range(1, words.p_max + 1):
+        for k, c in words.series("+" * p).coeffs.items():
+            if k + p <= order:
+                v.coeffs[(k + p, 0, p)] = c
     return v
 
 
-def verify_catalytic(nu: Scalar, order: int, table: DobrushinTable) -> CatalyticReport:
+def verify_catalytic(nu: Scalar, order: int, words: WordTable) -> CatalyticReport:
     """Evaluate the one-catalytic-variable equation on the solved system.
 
     Returns the residual through the requested t-order, over all y-degrees.
@@ -519,17 +490,17 @@ def verify_catalytic(nu: Scalar, order: int, table: DobrushinTable) -> Catalytic
     identity); the report flags this.
     """
     nu = as_scalar(nu)
-    if table.nu != nu or table.order < order + 2:
-        raise ValueError("table must be solved to order + 2 at the same nu")
+    if words.nu != nu or words.order < order + 2:
+        raise ValueError("the word table must reach order + 2 at the same nu")
     work = order + 2
-    v = _v_normalized(table, work, work + 9)
-    z1 = table.z_plus.with_order(work)
-    z2 = table.z_plusplus.with_order(work)
+    v = _v_normalized(words, work, work + 9)
+    z1 = words.series("+").with_order(work)
+    z2 = words.series("++").with_order(work)
     residual = _catalytic_combination(v, z1, z2).with_order(order)
     return CatalyticReport(nu, order, degenerate=(nu == 1), residual=residual)
 
 
-def zplus_recursion(p: int, nu: Scalar, order: int, table: DobrushinTable) -> TSeries:
+def zplus_recursion(p: int, nu: Scalar, order: int, words: WordTable) -> TSeries:
     """Z_{+^p} for p >= 3 rebuilt from Z_+ and Z_++ alone, via the
     y^p-coefficient extraction of the one-catalytic-variable equation.
 
@@ -543,10 +514,10 @@ def zplus_recursion(p: int, nu: Scalar, order: int, table: DobrushinTable) -> TS
         raise ValueError("the y^p recursion degenerates at nu = 1")
     # the t^p Z_p normalization costs p working orders at the top
     work = order + p
-    if table.nu != nu or table.order < work:
-        raise ValueError(f"table must be solved to order+p = {work} at the same nu")
-    z1 = table.z_plus.with_order(work)
-    z2 = table.z_plusplus.with_order(work)
+    if words.nu != nu or words.order < work:
+        raise ValueError(f"the word table must reach order+p = {work} at the same nu")
+    z1 = words.series("+").with_order(work)
+    z2 = words.series("++").with_order(work)
     inv_c = _inv(2 * nu * (Fraction(1) - nu))
     zs: dict[int, TSeries] = {1: z1, 2: z2}
     for q in range(3, p + 1):
@@ -580,7 +551,7 @@ class IdentityResult:
                 "first_fail": self.first_fail}
 
 
-def check_q_identities(words: WordTable) -> list[IdentityResult]:
+def check_q_identities(words: WordTable, order: int) -> list[IdentityResult]:
     """Cross-check the engine Z-series against brute-force Q-series.
 
     Q3 - Q1 Q2 removes exactly the maps whose root edge is a boundary loop;
@@ -591,19 +562,20 @@ def check_q_identities(words: WordTable) -> list[IdentityResult]:
     corrected form is the one consistent with the Z_++ formula below, which
     holds verbatim.)
 
-    Checks through the order of the caller's seeded word table, whose
-    length-1/2 entries are the Dobrushin slices.  The brute-force Q-series
-    grow fast with the order: callers keep it at 9 or below.
+    Checks through `order`, which the word table must reach.  The
+    brute-force Q-series grow fast with the order: callers keep it at 9 or
+    below.
     """
     from .maps import oracle_Q
 
-    nu, n = words.nu, words.order
+    nu, n = words.nu, order
+    if n > words.order:
+        raise ValueError("the word table must reach the check order")
     q1 = oracle_Q(1, nu, n)
     q2 = oracle_Q(2, nu, n)
     q3 = oracle_Q(3, nu, n)
-    z_p, z_pp, z_pm = words.series("+"), words.series("++"), words.series("+-")
-    z_ppp = words.series("+++")
-    z_ppm = words.series("++-")
+    z_p, z_pp, z_pm, z_ppp, z_ppm = (words.series(w).with_order(n)
+                                     for w in ("+", "++", "+-", "+++", "++-"))
 
     results = []
 

@@ -264,8 +264,7 @@ class ExactSamplerContext:
     def __init__(self, nu: Scalar, max_edges: int):
         self.nu = as_scalar(nu)
         self.order = max_edges
-        self.words = partition.WordTable(self.nu, self.order,
-                                         partition.solve_dobrushin(self.nu, self.order))
+        self.words = partition.WordTable(self.nu, self.order)
         self._m, self._d = _integer_weight(self.nu)
         self._cases: dict[tuple[str, int], tuple[list[tuple], list[Pair]]] = {}
         self._roots: dict[int, tuple[list[Pair], list[int], list[Pair]]] = {}

@@ -142,7 +142,13 @@ def test_coeffs_output_hash_pinned(args, result_hash):
      "95e93dd553a67eb13fb4236304f7b79ec7e276225ed9331b796f9305ba3e26a5"),
     (("oracle", "--nu", "nu_c", "--target", "word:++-", "--order", "9"),
      "d6943f92ed45a6f156f01373642914dd523bbd6e791a08e2afafb4a4bf4d2c1b"),
-], ids=["verify-nu_c-12", "oracle-sphere-nu_c-9", "oracle-q3-2-9", "oracle-word-nu_c-9"])
+    (("spectral", "--nu", "nu_c", "--order", "31"),
+     "17a14ddebd58828c959b6f0e1f3fced90afc62065715682320c88cc7d9be64fc"),
+    # order 30: the first with the ten nonzero coefficients the fit needs
+    (("asymp", "--nu", "2", "--target", "word:++-", "--order", "30"),
+     "7721b041fd77dfead24712eecd2d81d65291a7b5923c4656a37cb9025c8481f4"),
+], ids=["verify-nu_c-12", "oracle-sphere-nu_c-9", "oracle-q3-2-9", "oracle-word-nu_c-9",
+        "spectral-nu_c-31", "asymp-word-2-30"])
 def test_oracle_output_hash_pinned(args, result_hash):
     proc = run_cli(*args)
     assert proc.returncode == 0
@@ -197,14 +203,17 @@ def test_sample_output_hash_pinned(args, result_hash):
     assert out["manifest"]["output_hashes"]["result"] == result_hash
 
 
-@pytest.mark.parametrize("args", [
-    ("coeffs", "--nu", "2", "--target", "word:++-", "--order", "8"),
-    ("sample", "exact", "--nu", "2", "--n", "2", "--reps", "2", "--seed", "1"),
+@pytest.mark.parametrize("args, solves", [
+    (("coeffs", "--nu", "2", "--target", "word:++-", "--order", "8"), 1),
+    (("sample", "exact", "--nu", "2", "--n", "2", "--reps", "2", "--seed", "1"), 1),
     # the command that loads the fewest layers: the tracer must load the rest itself
-    ("critical", "--nu", "nu_c"),
-], ids=["coeffs", "sample-exact", "critical"])
-def test_benchmark_tracer_finds_its_functions(args, tmp_path):
-    # the tracer looks functions up by name: a rename must fail here, not in a traced run
+    (("critical", "--nu", "nu_c"), 0),
+    # order 31: the lowest at which the inputs can be evaluated at t_nu
+    (("spectral", "--nu", "nu_c", "--order", "31"), 1),
+], ids=["coeffs", "sample-exact", "critical", "spectral"])
+def test_benchmark_tracer_finds_its_functions(args, solves, tmp_path):
+    # the tracer looks functions up by name: a rename must fail here, not in a traced run,
+    # and a solver bound privately would leave its per-layer figures at 0
     trace = tmp_path / "trace.json"
     proc = subprocess.run([sys.executable, str(PERFBENCH_DIR / "traced.py"), str(trace), "--", *args],
                           capture_output=True, text=True, timeout=600)
@@ -212,6 +221,7 @@ def test_benchmark_tracer_finds_its_functions(args, tmp_path):
     metrics = json.loads(trace.read_text())["metrics"]
     assert "partition.words_read" in metrics
     assert "sampler.case_weights_calls" in metrics
+    assert metrics["partition.dobrushin_solves"] == solves
 
 
 def test_benchmark_tracer_times_the_lazily_loaded_oracle(tmp_path):

@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 from isingtri import partition, series
-from isingtri.exactnum import NU_C, format_scalar
+from isingtri.exactnum import NU_C, format_scalar, pair_scalar
 from isingtri.maps import oracle_series, oracle_sphere
 from isingtri.partition import (
-    SeedMissing,
     WordTable,
     check_q_identities,
     check_U,
@@ -79,31 +78,47 @@ def reference_update(nu, order, state):
     return {"mixed": new_m, "zplus": new_z}
 
 
+def layer_series(nu, layers):
+    """S(x, y) and Z+(x) as BivSeries, rebuilt from the scaled layers (M, Z)
+    that `solve_dobrushin` returns: entry (u, v) of layer k stands for
+    (u + v sqrt7) / d^k, with nu = m / d."""
+    M, Z = layers
+    order = len(M) - 1
+    cap = max(order, (order + 7) // 2)
+    _, d = partition._integer_weight(nu)
+    mixed = {(k, i, j): pair_scalar(c, d ** k)
+             for k in range(order + 1) for (i, j), c in sorted(M[k].items())}
+    zplus = {(k, i, 0): pair_scalar(c, d ** k)
+             for k in range(order + 1) for i, c in sorted(Z[k].items())}
+    return {"mixed": BivSeries(nu, order, cap, cap, mixed),
+            "zplus": BivSeries(nu, order, cap, cap, zplus)}
+
+
+def dobrushin_seeds(nu, layers):
+    """Z_+, Z_++ and Z_+- extracted from the rebuilt S and Z+."""
+    series = layer_series(nu, layers)
+    return {"+": series["zplus"].extract_tseries(1, 0),
+            "++": series["zplus"].extract_tseries(2, 0),
+            "+-": series["mixed"].extract_tseries(1, 1)}
+
+
 @pytest.fixture(scope="module")
-def table9():
-    return solve_dobrushin(NU, 10)
+def words10():
+    return WordTable(NU, 10)
 
 
-def test_dobrushin_examples(table9):
-    assert table9.zplus.coeff(1, 2, 0) == NU          # edge 2-gon
-    assert table9.z_plus.coeff(2) == NU * NU + NU
-    for k in range(table9.order + 1):
+def test_dobrushin_examples(words10):
+    assert words10.coeff("++", 1) == NU               # edge 2-gon
+    assert words10.coeff("+", 2) == NU * NU + NU
+    for k in range(words10.order + 1):
         if (k + 1) % 3:
-            assert table9.z_plus.coeff(k) == 0
+            assert words10.coeff("+", k) == 0
 
 
-def test_dobrushin_matches_oracle(table9):
-    for word, series in (("+", table9.z_plus), ("++", table9.z_plusplus),
-                         ("+-", table9.z_plusminus)):
-        assert series.with_order(9).eq_to_order(oracle_series(word, NU, 9), 9)
-    for p in (3, 4):
-        eng = table9.zplus.extract_tseries(p, 0)
-        assert eng.with_order(9).eq_to_order(oracle_series("+" * p, NU, 9), 9)
-    # mixed Dobrushin slices beyond the seeds
-    assert table9.mixed.extract_tseries(2, 1).with_order(9).eq_to_order(
-        oracle_series("++-", NU, 9), 9)
-    assert table9.mixed.extract_tseries(2, 2).with_order(9).eq_to_order(
-        oracle_series("++--", NU, 9), 9)
+def test_dobrushin_matches_oracle(words10):
+    # the seeds, the pure words +^p and the mixed Dobrushin words beyond the seeds
+    for word in ("+", "++", "+-", "+++", "++++", "++-", "++--"):
+        assert words10.series(word).with_order(9).eq_to_order(oracle_series(word, NU, 9), 9)
 
 
 REFERENCE_NUS = pytest.mark.parametrize(
@@ -113,8 +128,7 @@ REFERENCE_NUS = pytest.mark.parametrize(
 @REFERENCE_NUS
 def test_dobrushin_is_fixed_point_of_reference(nu):
     order = 14
-    table = solve_dobrushin(nu, order)
-    state = {"mixed": table.mixed, "zplus": table.zplus}
+    state = layer_series(nu, solve_dobrushin(nu, order))
     image = reference_update(nu, order, state)
     for name, series in state.items():
         assert series.order == order
@@ -130,17 +144,16 @@ def test_dobrushin_matches_reference_picard_solve(nu):
     ref = solve_fixed_point(spec, order)
     # the reference builds both sides of the system, so its symmetry is evidence
     assert ref["mixed"] == ref["mixed"].swap_xy()
-    table = solve_dobrushin(nu, order)
-    for name, series in (("mixed", table.mixed), ("zplus", table.zplus)):
+    for name, series in layer_series(nu, solve_dobrushin(nu, order)).items():
         assert series == ref[name]
-        assert list(series.coeffs) == sorted(series.coeffs)
         assert (series.dx, series.dy) == (ref[name].dx, ref[name].dy)
 
 
-def table_digest(table):
-    """sha256 of the canonical JSON of a table's full `mixed` and `zplus` coefficients."""
+def table_digest(nu, layers):
+    """sha256 of the canonical JSON of the full S (`mixed`) and Z+ (`zplus`)
+    coefficients, rebuilt from the scaled layers."""
     payload = {name: [[*key, format_scalar(c)] for key, c in sorted(s.coeffs.items())]
-               for name, s in (("mixed", table.mixed), ("zplus", table.zplus))}
+               for name, s in layer_series(nu, layers).items()}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -152,7 +165,7 @@ def table_digest(table):
 ], ids=["1/2", "2", "nu_c"])
 def test_dobrushin_full_table_pinned(nu, digest):
     # every entry of S and Z+ to t^40, the p != q entries of S included
-    assert table_digest(solve_dobrushin(nu, 40)) == digest
+    assert table_digest(nu, solve_dobrushin(nu, 40)) == digest
 
 
 def test_dobrushin_rejects_a_rule_without_its_power_of_t(monkeypatch):
@@ -181,20 +194,22 @@ def test_dobrushin_degree_guard():
         partition._dobrushin_layer(M, Z, 3, m, d, 2)
 
 
-def test_mixed_symmetry(table9):
-    assert table9.mixed.eq_to_order(table9.mixed.swap_xy(), table9.order)
+def test_mixed_symmetry(words10):
+    M, _ = words10.layers
+    assert len(M) == words10.order + 1
+    for layer in M:
+        assert layer == {(j, i): c for (i, j), c in layer.items()}
 
 
-def test_solve_word_matches_oracle(table9):
-    words = WordTable(NU, 9, table9)
+def test_solve_word_matches_oracle(words10):
     for p in (3, 4):
         for bits in itertools.product("+-", repeat=p):
             w = "".join(bits)
-            assert words.series(w).eq_to_order(oracle_series(w, NU, 9), 9)
+            assert words10.series(w).eq_to_order(oracle_series(w, NU, 9), 9)
 
 
-def test_solve_word_flip_and_pruning(table9):
-    words = WordTable(NU, 9, table9)
+def test_solve_word_flip_and_pruning(words10):
+    words = words10
     a = words.series("---")
     b = words.series("+++")
     assert a.coeffs == b.coeffs
@@ -268,12 +283,11 @@ WORD_NUS = pytest.mark.parametrize(
 @WORD_NUS
 @pytest.mark.parametrize("order", [4, 9, 12])
 def test_word_table_matches_reference_picard_solve(nu, order):
-    dobrushin = solve_dobrushin(nu, order)
-    seeds = {"+": dobrushin.z_plus, "++": dobrushin.z_plusplus, "+-": dobrushin.z_plusminus}
+    seeds = dobrushin_seeds(nu, solve_dobrushin(nu, order))
     unknowns = reference_closure("+++", (order + 3) // 2)
     zero = {w: TSeries.zero(nu, 0) for w in unknowns}
     ref = solve_fixed_point(FixedPointSpec(zero, reference_word_update(nu, seeds, unknowns)), order)
-    words = WordTable(nu, order, dobrushin)
+    words = WordTable(nu, order)
     # read one top state cold first, so that it recurses through the states below it
     assert words.coeff(unknowns[-1], order) == ref[unknowns[-1]].coeff(order)
     for w in unknowns:
@@ -298,7 +312,7 @@ def test_peeling_cases_in_sampling_order():
 
 
 def test_word_table_size_budget():
-    words = WordTable(NU, 12, solve_dobrushin(NU, 12))
+    words = WordTable(NU, 12)
     # a p-gon has at least 2p - 3 edges: below that a state is zero and never stored
     for p in range(3, 8):
         assert words.coeff("+" * p, 2 * p - 4) == 0
@@ -309,7 +323,7 @@ def test_word_table_size_budget():
 
 
 def test_word_table_takes_no_flip_key_on_a_repeated_read(monkeypatch):
-    words = WordTable(NU, 9, solve_dobrushin(NU, 9))
+    words = WordTable(NU, 9)
     reads = [(w, n) for w in ("+", "-+", "++-", "-+-+") for n in range(10)]
     first = [words.state(w, n) for w, n in reads]
     monkeypatch.setattr(WordTable, "_key", lambda self, word: pytest.fail("key taken"))
@@ -327,7 +341,7 @@ def refuse_picard(monkeypatch):
 
 def test_word_table_does_not_use_picard(monkeypatch):
     refuse_picard(monkeypatch)
-    words = WordTable(NU, 9, solve_dobrushin(NU, 9))
+    words = WordTable(NU, 9)
     assert words.series("++-+").coeff(5) > 0
 
 
@@ -342,26 +356,17 @@ def test_word_table_rejects_a_rule_without_its_power_of_t(monkeypatch):
     monkeypatch.setattr(WordTable, "_rule", reads_own_state)
     with pytest.raises(NotContractive):
         # a four-block word: the peeling recursion computes it
-        WordTable(NU, 9, solve_dobrushin(NU, 9)).series("+-+-")
-
-
-def test_seed_missing():
-    bare = WordTable(NU, 6)
-    with pytest.raises(SeedMissing):
-        bare.series("+++")
+        WordTable(NU, 9).series("+-+-")
 
 
 def test_word_requires_length_three():
     # words of length 1 and 2 are Dobrushin entries, never solved by peeling
-    table = solve_dobrushin(NU, 6)
-    words = WordTable(NU, 6, table)
-    for word, seed in (("+", table.z_plus), ("++", table.z_plusplus), ("+-", table.z_plusminus)):
+    words = WordTable(NU, 6)
+    for word, seed in dobrushin_seeds(NU, words.layers).items():
         assert words.series(word).coeffs == seed.coeffs
         flipped = word.translate(str.maketrans("+-", "-+"))
         assert words.series(flipped).coeffs == seed.coeffs
     assert not words._states
-    with pytest.raises(SeedMissing):
-        WordTable(NU, 6).series("++")
 
 
 def two_block_words(p):
@@ -374,7 +379,7 @@ def two_block_words(p):
 def test_peeling_rule_matches_the_dobrushin_entries(nu):
     # the two engines check each other: the peeling identity over the table's
     # entries (and over the recursion's four-block states) gives each entry
-    words = WordTable(nu, 12, solve_dobrushin(nu, 12))
+    words = WordTable(nu, 12)
     checked = 0
     for p in range(3, words.p_max + 1):
         for w in two_block_words(p):
@@ -385,7 +390,7 @@ def test_peeling_rule_matches_the_dobrushin_entries(nu):
 
 
 def test_two_block_words_are_read_from_the_dobrushin_table():
-    words = WordTable(NU, 12, solve_dobrushin(NU, 12))
+    words = WordTable(NU, 12)
     for w in ("+++-", "--++", "+-"):
         assert not words.series(w).is_zero()
     assert not words._states
@@ -394,7 +399,7 @@ def test_two_block_words_are_read_from_the_dobrushin_table():
 
 
 def test_word_key_is_one_per_rotation_reversal_and_flip():
-    words = WordTable(NU, 9, solve_dobrushin(NU, 9))
+    words = WordTable(NU, 9)
     flip = str.maketrans("+-", "-+")
     for p in range(1, 7):
         for bits in itertools.product("+-", repeat=p):
@@ -405,8 +410,8 @@ def test_word_key_is_one_per_rotation_reversal_and_flip():
             assert len({tuple(sorted(words.series(v).coeffs.items())) for v in orbit}) == 1
 
 
-def test_sphere_series(table9):
-    sph = sphere_series(NU, 9, table9)
+def test_sphere_series(words10):
+    sph = sphere_series(NU, 9, words10)
     assert sph.eq_to_order(oracle_sphere(NU, 9), 9)
     assert sph.support() == [3, 6, 9]
 
@@ -472,49 +477,56 @@ def test_solve_U_rejects_nonpositive_nu(nu):
 
 
 def test_zplus_recursion_consistency():
-    table = solve_dobrushin(NU, 14)
-    words = WordTable(NU, 9, table)
+    words = WordTable(NU, 14)
+    zplus = layer_series(NU, words.layers)["zplus"]
     for p in (3, 4, 5):
-        zr = zplus_recursion(p, NU, 9, table)
-        assert zr.eq_to_order(table.zplus.extract_tseries(p, 0), 9)
-        if p <= 4:
-            assert zr.eq_to_order(words.series("+" * p), 9)
+        zr = zplus_recursion(p, NU, 9, words)
+        assert zr.eq_to_order(zplus.extract_tseries(p, 0), 9)
+        assert zr.eq_to_order(words.series("+" * p), 9)
     # lowest coefficient sits at the simple-boundary minimum
-    z3 = zplus_recursion(3, NU, 9, table)
+    z3 = zplus_recursion(3, NU, 9, words)
     assert min(z3.coeffs) == 3
 
 
 def test_zplus_rejects_nu_one():
-    table = solve_dobrushin(Fraction(1), 12)
     with pytest.raises(ValueError):
-        zplus_recursion(3, Fraction(1), 6, table)
+        zplus_recursion(3, Fraction(1), 6, WordTable(Fraction(1), 12))
 
 
 def test_verify_catalytic_zero_residual():
     for nu, order in ((Fraction(2), 10), (NU_C, 8)):
-        table = solve_dobrushin(nu, order + 2)
-        rep = verify_catalytic(nu, order, table)
+        rep = verify_catalytic(nu, order, WordTable(nu, order + 2))
         assert rep.ok and not rep.degenerate
 
 
 def test_verify_catalytic_degenerate_at_one():
-    table = solve_dobrushin(Fraction(1), 10)
-    rep = verify_catalytic(Fraction(1), 8, table)
+    rep = verify_catalytic(Fraction(1), 8, WordTable(Fraction(1), 10))
     assert rep.degenerate and rep.ok
 
 
 def test_verify_catalytic_detects_corruption():
-    table = solve_dobrushin(Fraction(2), 10)
-    table.z_plusplus = table.z_plusplus + TSeries.monomial(Fraction(2), table.order, 4)
-    rep = verify_catalytic(Fraction(2), 8, table)
+    words = WordTable(Fraction(2), 10)
+    _, Z = words.layers
+    u, v = Z[4][2]                      # [t^4 x^2] Z+ = [t^4] Z_++, scaled by d^4 = 1
+    Z[4][2] = (u + 1, v)
+    rep = verify_catalytic(Fraction(2), 8, words)
     assert not rep.ok
 
 
 def test_q_identities_pass():
     for nu in (Fraction(1, 2), Fraction(2)):
-        results = check_q_identities(WordTable(nu, 9, solve_dobrushin(nu, 9)))
+        results = check_q_identities(WordTable(nu, 9), 9)
         assert all(r.ok for r in results), [r.to_json() for r in results]
         assert len(results) == 5
+
+
+def test_q_identities_check_to_the_given_order():
+    words = WordTable(NU, 11)
+    assert ([r.to_json() for r in check_q_identities(words, 7)]
+            == [r.to_json() for r in check_q_identities(WordTable(NU, 7), 7)])
+    assert all(r.checked_to == 7 for r in check_q_identities(words, 7))
+    with pytest.raises(ValueError):
+        check_q_identities(words, 12)
 
 
 def test_q_identity_literal_form_fails():
@@ -525,8 +537,7 @@ def test_q_identity_literal_form_fails():
     q1 = oracle_Q(1, NU, 6)
     q2 = oracle_Q(2, NU, 6)
     q3 = oracle_Q(3, NU, 6)
-    table = solve_dobrushin(NU, 6)
-    words = WordTable(NU, 6, table)
+    words = WordTable(NU, 6)
     lhs = words.series("+++") + words.series("++-").scale(Fraction(3))
     literal_rhs = q3 - q1 * q2
     assert lhs.first_difference(literal_rhs, 6) == 3
@@ -540,8 +551,5 @@ def test_nonnegative_coefficients_randomized():
     rng = random.Random(5)
     for _ in range(5):
         nu = Fraction(rng.randrange(1, 8), rng.randrange(1, 5))
-        table = solve_dobrushin(nu, 7)
-        for (k, i, j), c in table.mixed.coeffs.items():
-            assert c > 0
-        for (k, i, j), c in table.zplus.coeffs.items():
-            assert c > 0
+        for series in layer_series(nu, solve_dobrushin(nu, 7)).values():
+            assert all(c > 0 for c in series.coeffs.values())

@@ -13,7 +13,7 @@ from isingtri.criticality import critical_point
 from isingtri.exactnum import NU_C, QuadExt, integer_pairs, pair_mul, sign_sqrt7
 from isingtri.maps import enumerate_maps
 from isingtri.maps.combmap import CombMap, InvalidMap
-from isingtri.partition import solve_dobrushin, WordTable
+from isingtri.partition import WordTable
 from isingtri.sampler import (
     BoltzmannContext,
     ExactSamplerContext,
@@ -442,8 +442,7 @@ def test_boltzmann_mean_size_identity():
     t = Fraction(1, 18)
     order = 24
     ctx = BoltzmannContext(NU, t, series_order=order)
-    table = solve_dobrushin(NU, order)
-    series = WordTable(NU, order, table).series("++")
+    series = WordTable(NU, order).series("++")
     num = sum(k * float(c) * float(t) ** k for k, c in series.coeffs.items())
     den = sum(float(c) * float(t) ** k for k, c in series.coeffs.items())
     mean_expected = num / den
@@ -494,6 +493,14 @@ def test_boltzmann_context_checks_the_fugacity_before_solving(monkeypatch):
 # the QuadExt arithmetic that the benchmark tracer counts as exactnum.quadext_ops
 _QUADEXT_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                 "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse")
+
+
+def test_sampler_context_creates_no_exact_scalar(monkeypatch):
+    # the exact sampler reads integer states only: no layer or state becomes a scalar
+    monkeypatch.setattr(partition, "pair_scalar", lambda *args: pytest.fail("exact scalar made"))
+    ctx = ExactSamplerContext(NU_C, 10)
+    for i in range(10):
+        exact_sample(NU_C, 3, seed=i, ctx=ctx).validate("sphere")
 
 
 def test_samplers_do_no_quadext_arithmetic_at_nu_c(monkeypatch):
