@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exactnum import (
     NU_C,
@@ -32,7 +33,9 @@ from .exactnum import (
     format_scalar,
     scalar_to_float,
 )
-from .series import TSeries
+
+if TYPE_CHECKING:
+    from .series import TSeries
 
 
 class NoPositiveRoot(ArithmeticError):

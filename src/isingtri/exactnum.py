@@ -1,13 +1,14 @@
 """Exact scalars: rationals and the real quadratic field Q(sqrt(7)).
 
 Scalars are either `fractions.Fraction` (kept in lowest terms with positive
-denominator by the stdlib) or `QuadExt` values a + b*sqrt(7) with Fraction
-components.  Arithmetic between the two promotes to QuadExt and demotes back
-to Fraction whenever the sqrt(7) part cancels, so equal values always compare
-equal and hash alike.  All comparisons are exact: no floating point is used
-anywhere in this module except in the final float conversions of `Interval`.
-Integer pairs (u, v) stand for u + v*sqrt(7) in Z[sqrt7]: `integer_pairs`
-scales scalars to them, `pair_scalar` reads one back.
+denominator by the stdlib) or `QuadExt` values (u + v*sqrt(7)) / d, stored as
+one reduced integer triple: every field operation is integer arithmetic and
+one gcd on its result.  Arithmetic between the two promotes to QuadExt and
+demotes back to Fraction whenever the sqrt(7) part cancels, so equal values
+always compare equal and hash alike.  All comparisons are exact: no floating
+point is used anywhere in this module except in the final float conversions
+of `Interval`.  Integer pairs (u, v) stand for u + v*sqrt(7) in Z[sqrt7]:
+`integer_pairs` scales scalars to them, `pair_scalar` reads one back.
 """
 
 from __future__ import annotations
@@ -42,24 +43,31 @@ def sign_sqrt7(a, b) -> int:
 
 
 class QuadExt:
-    """An element a + b*sqrt(7) of the real quadratic field Q(sqrt(7))."""
+    """An element a + b*sqrt(7) of the real quadratic field Q(sqrt(7)).
 
-    __slots__ = ("_a", "_b")
+    It is stored as the integer triple (u, v, d) of (u + v*sqrt7) / d, with
+    gcd(u, v, d) = 1 and d > 0, so equal values have equal triples.  `a` and
+    `b` are the Fractions u / d and v / d, built when read.
+    """
+
+    __slots__ = ("_u", "_v", "_d")
 
     def __init__(self, a, b) -> None:
-        self._a = Fraction(a)
-        self._b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)       # then gcd(u, v, d) = 1
+        self._u, self._v = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        self._d = d
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._u, self._d)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._v, self._d)
 
     def __repr__(self) -> str:
-        return f"QuadExt({self._a!r}, {self._b!r})"
+        return f"QuadExt({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -70,48 +78,59 @@ class QuadExt:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(self._a + other._a, self._b + other._b)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._u + other._u, self._v + other._v, d)
+        return _make(self._u * e + other._u * d, self._v * e + other._v * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self._a, -self._b)
+        return _triple(-self._u, -self._v, self._d)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(self._a - other._a, self._b - other._b)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._u - other._u, self._v - other._v, d)
+        return _make(self._u * e - other._u * d, self._v * e - other._v * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(other._a - self._a, other._b - self._b)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(other._u - self._u, other._v - self._v, d)
+        return _make(other._u * d - self._u * e, other._v * d - self._v * e, d * e)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # (a + b s)(c + d s) = (ac + 7bd) + (ad + bc) s  with s = sqrt(7)
-        return _make(
-            self._a * other._a + 7 * self._b * other._b,
-            self._a * other._b + self._b * other._a,
-        )
+        # (a + b s)(c + e s) = (ac + 7be) + (ae + bc) s  with s = sqrt(7)
+        a, b, c, e = self._u, self._v, other._u, other._v
+        return _make(a * c + 7 * b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        norm = self._a * self._a - 7 * self._b * self._b
+        # d / (u + v s) = d (u - v s) / (u^2 - 7 v^2)
+        u, v, d = self._u, self._v, self._d
+        norm = u * u - 7 * v * v
         if norm == 0:
             raise DivisionByZero("division by zero in Q(sqrt7)")
-        return _make(self._a / norm, -self._b / norm)
+        if norm < 0:
+            return _make(-d * u, d * v, -norm)
+        return _make(d * u, -d * v, norm)
 
     def __truediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other._a == 0 and other._b == 0:
+        if not other._u and not other._v:
             raise DivisionByZero("division by zero in Q(sqrt7)")
         return self * other.inverse()
 
@@ -137,18 +156,18 @@ class QuadExt:
 
     def sign(self) -> int:
         """Sign of a + b*sqrt(7)."""
-        return sign_sqrt7(self._a, self._b)
+        return sign_sqrt7(self._u, self._v)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._a == other._a and self._b == other._b
+        return self._u == other._u and self._v == other._v and self._d == other._d
 
     def __hash__(self):
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, "sqrt7"))
+        if self._v == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, "sqrt7"))
 
     def __lt__(self, other) -> bool:
         other = _coerce(other)
@@ -175,31 +194,41 @@ class QuadExt:
         return _sign(self - other) >= 0
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        return self._u != 0 or self._v != 0
 
 
 Scalar = Union[Fraction, QuadExt]
 Pair = tuple[int, int]
 
 
+def _triple(u: int, v: int, d: int) -> QuadExt:
+    """The QuadExt of a triple already reduced, with d > 0."""
+    x = object.__new__(QuadExt)
+    x._u, x._v, x._d = u, v, d
+    return x
+
+
 def _coerce(x):
     if isinstance(x, QuadExt):
         return x
     if isinstance(x, (int, Fraction)):
-        return QuadExt(Fraction(x), Fraction(0))
+        return _triple(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
-def _make(a: Fraction, b: Fraction) -> Scalar:
-    """Normalize a + b*sqrt7: demote to plain a (a Fraction, or an int) when b == 0."""
-    if b == 0:
-        return a
-    return QuadExt(a, b)
+def _make(u: int, v: int, d: int) -> Scalar:
+    """(u + v*sqrt7) / d in lowest terms, for d > 0: a Fraction when v == 0."""
+    if v == 0:
+        return Fraction(u, d)
+    g = math.gcd(u, v, d)
+    if g == 1:
+        return _triple(u, v, d)
+    return _triple(u // g, v // g, d // g)
 
 
 def as_scalar(x) -> Scalar:
     if isinstance(x, QuadExt):
-        return _make(x.a, x.b)
+        return x if x._v else Fraction(x._u, x._d)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -212,10 +241,9 @@ def as_scalar(x) -> Scalar:
 def integer_pairs(scalars) -> tuple[list[Pair], int]:
     """The integer pairs (u, v) of d x = u + v sqrt7, one per exact scalar x,
     and d > 0, the least common denominator of all their parts."""
-    parts = [(x.a, x.b) if isinstance(x, QuadExt) else (x, 0) for x in scalars]
-    d = math.lcm(*(c.denominator for ab in parts for c in ab))
-    return [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
-            for a, b in parts], d
+    triples = [_coerce(x) for x in scalars]
+    d = math.lcm(*(x._d for x in triples))
+    return [(x._u * (d // x._d), x._v * (d // x._d)) for x in triples], d
 
 
 def _integer_weight(nu: Scalar) -> tuple[Pair, int]:
@@ -232,8 +260,7 @@ def pair_mul(x: Pair, y: Pair) -> Pair:
 
 def pair_scalar(pair: Pair, d: int) -> Scalar:
     """The exact scalar (u + v sqrt7) / d of the integer pair (u, v), d > 0."""
-    u, v = pair
-    return _make(Fraction(u, d), Fraction(v, d))
+    return _make(pair[0], pair[1], d)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +303,7 @@ def parse_scalar(text: str) -> Scalar:
             if b_part.startswith("+"):
                 b_part = b_part[1:]
             b = Fraction(b_part)
-        return _make(a, b)
+        return as_scalar(QuadExt(a, b))
     return Fraction(s)
 
 
@@ -410,25 +437,10 @@ def _as_interval(x) -> Interval:
     raise TypeError(f"cannot interpret {x!r} as an interval")
 
 
-_SQRT7_CACHE: dict[int, Interval] = {}
-
-
 def sqrt7_interval(bits: int) -> Interval:
-    """Dyadic enclosure of sqrt(7) with width 2^-bits, by bisection."""
-    iv = _SQRT7_CACHE.get(bits)
-    if iv is not None:
-        return iv
-    lo, hi = Fraction(2), Fraction(3)
-    target = Fraction(1, 1 << bits)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        if mid * mid <= 7:
-            lo = mid
-        else:
-            hi = mid
-    iv = Interval(lo, hi)
-    _SQRT7_CACHE[bits] = iv
-    return iv
+    """Dyadic enclosure [k, k + 1] / 2^bits of sqrt(7), k = isqrt(7 * 4^bits)."""
+    k = math.isqrt(7 << 2 * bits)
+    return Interval(Fraction(k, 1 << bits), Fraction(k + 1, 1 << bits))
 
 
 def scalar_to_float(a: Scalar, precision_bits: int = 53) -> Interval:
@@ -442,23 +454,32 @@ def scalar_to_float(a: Scalar, precision_bits: int = 53) -> Interval:
     return Interval(a)
 
 
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for an integer n >= 0, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // 3)
+    while x and (y := (2 * x + n // (x * x)) // 3) < x:
+        x = y
+    return x
+
+
 def cbrt_interval(x: Interval, bits: int) -> Interval:
-    """Enclosure of the real cube root of a nonnegative interval."""
+    """Enclosure of the real cube root of a nonnegative interval.
+
+    Each endpoint is where bisecting [0, w], w = max(1, v), to width 2^-bits
+    ends: w k / 2^j below v^(1/3) and w (k + 1) / 2^j above, with j least such
+    that w 2^bits <= 2^j and k < 2^j largest with k^3 <= 8^j v / w^3.
+    """
     if x.lo < 0:
         raise ValueError("cbrt_interval expects a nonnegative interval")
 
     def cbrt_fraction(v: Fraction, round_up: bool) -> Fraction:
         if v == 0:
             return Fraction(0)
-        lo, hi = Fraction(0), max(Fraction(1), v)
-        target = Fraction(1, 1 << bits)
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            if mid ** 3 <= v:
-                lo = mid
-            else:
-                hi = mid
-        return hi if round_up else lo
+        w = max(Fraction(1), v)
+        j = bits + (math.ceil(w) - 1).bit_length()
+        r = v / w ** 3
+        k = min(_icbrt((r.numerator << 3 * j) // r.denominator), (1 << j) - 1)
+        return w * Fraction(k + round_up, 1 << j)
 
     return Interval(cbrt_fraction(x.lo, False), cbrt_fraction(x.hi, True))
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import series
 from .exactnum import Scalar, _integer_weight, as_scalar, format_scalar, pair_mul, pair_scalar
-from .series import BivSeries, DegreeOverflow, NotContractive, TSeries
 
 
 def _inv(s: Scalar) -> Scalar:
@@ -67,7 +67,7 @@ def _dobrushin_terms(M: list, Z: list, k: int, cap: int):
         if not Zb:
             continue
         if Ma and max(map(max, Ma)) + max(Zb) > cap or Za and max(Za) + max(Zb) > cap:
-            raise DegreeOverflow(f"a product at t^{k - 1} exceeds degree {cap}")
+            raise series.DegreeOverflow(f"a product at t^{k - 1} exceeds degree {cap}")
         for l, (r, s) in Zb.items():
             for (i, j), (p, q) in Ma.items():
                 yield 0, (i + l - 1, j), p * r + 7 * q * s, p * s + q * r     # S Z+(x) / x
@@ -135,7 +135,7 @@ def solve_dobrushin(nu: Scalar, order: int) -> tuple[list[dict], list[dict]]:
         try:
             new_m, new_z = _dobrushin_layer(M, Z, k, m, d, cap)
         except IndexError as exc:
-            raise NotContractive(f"t-layer {k} reads a layer not yet solved") from exc
+            raise series.NotContractive(f"t-layer {k} reads a layer not yet solved") from exc
         M.append(new_m)
         Z.append(new_z)
     return M, Z
@@ -185,8 +185,9 @@ class WordTable:
     bounds the states one coefficient reaches.  `terms` lists the identity's
     nonzero terms, which the exact sampler reads as its case weights, and
     `total` weighs them by the root edge.  `state` reads one integer state,
-    `coeff` the scalar it stands for; `series` assembles t^0..t^order into
-    `entries`, which keeps the scalars (the samplers read states only).
+    `coeff` the scalar it stands for; `series` assembles the nonzero states
+    of t^0..t^order into `entries`, which keeps the scalars (the samplers
+    read states only).
     """
 
     def __init__(self, nu: Scalar, order: int):
@@ -194,7 +195,7 @@ class WordTable:
         self.order = order
         self.layers = solve_dobrushin(self.nu, order)
         self.p_max = max(2, (order + 3) // 2)    # longer words vanish below the order
-        self.entries: dict[str, TSeries] = {}
+        self.entries: dict[str, series.TSeries] = {}
         self._m, self._d = _integer_weight(self.nu)
         self._states: dict[tuple[str, int], tuple[int, int] | None] = {}
         self._read: dict[tuple[str, int], tuple[int, int]] = {}   # _state results, by word
@@ -205,13 +206,14 @@ class WordTable:
         return min(w[i:] + w[:i] for w in (word, word[::-1], flip, flip[::-1])
                    for i in range(len(w)))
 
-    def series(self, word: str) -> TSeries:
+    def series(self, word: str) -> series.TSeries:
         if len(word) > self.p_max:
-            return TSeries.zero(self.nu, self.order)
+            return series.TSeries.zero(self.nu, self.order)
         key = self._key(word)
         if key not in self.entries:
-            self.entries[key] = TSeries(self.nu, self.order,
-                                        {n: self.coeff(key, n) for n in range(self.order + 1)})
+            states = ((n, self.state(key, n)) for n in range(self.order + 1))
+            self.entries[key] = series.TSeries(self.nu, self.order, {
+                n: pair_scalar(c, self._d ** n) for n, c in states if c != (0, 0)})
         return self.entries[key]
 
     def coeff(self, word: str, n: int) -> Scalar:
@@ -242,7 +244,8 @@ class WordTable:
             c = self._states.get(state)
             if c is None:
                 if state in self._states:
-                    raise NotContractive(f"state ({key}, t^{n}) is read while it is computed")
+                    raise series.NotContractive(
+                        f"state ({key}, t^{n}) is read while it is computed")
                 self._states[state] = None          # open: reading it now is a cycle
                 c = self._states[state] = self._rule(key, n)
         self._read[word, n] = c
@@ -300,7 +303,7 @@ class WordTable:
 # sphere series
 # ---------------------------------------------------------------------------
 
-def sphere_series(nu: Scalar, order: int, words: WordTable | None = None) -> TSeries:
+def sphere_series(nu: Scalar, order: int, words: WordTable | None = None) -> series.TSeries:
     """The sphere partition series from the 1- and 2-gon series of `words`,
     a word table to order + 1 (built here when not given).
 
@@ -317,8 +320,8 @@ def sphere_series(nu: Scalar, order: int, words: WordTable | None = None) -> TSe
         raise ValueError("the word table must reach order + 1")
     inv_nu = _inv(nu)
     z1 = words.series("+")
-    mono_pp = TSeries.monomial(nu, words.order, 1, nu)
-    mono_pm = TSeries.monomial(nu, words.order, 1)
+    mono_pp = series.TSeries.monomial(nu, words.order, 1, nu)
+    mono_pm = series.TSeries.monomial(nu, words.order, 1)
     combo = ((words.series("++") - mono_pp).scale(inv_nu)
              + (words.series("+-") - mono_pm)
              + (z1 * z1).scale(inv_nu))
@@ -345,7 +348,7 @@ def _u_polynomial(nu: Scalar) -> list[Scalar]:
     return a
 
 
-def solve_U(nu: Scalar, order: int) -> TSeries:
+def solve_U(nu: Scalar, order: int) -> series.TSeries:
     """The unique series in t^3 with zero constant term solving the cubic-root
     substitution equation P(U) = 32 nu^3 (1 - 2U)^2 t^3, one t^3-layer at a time.
 
@@ -377,18 +380,18 @@ def solve_U(nu: Scalar, order: int) -> TSeries:
             powers[j].append(sum((u[i] * lower[k - i] for i in range(1, k)), zero))
         rhs = lead * (int(k == 1) - 4 * u[k - 1] + 4 * powers[2][k - 1])
         u.append((rhs - sum((a[j] * powers[j][k] for j in range(2, 6)), zero)) * inv_a1)
-    return TSeries(nu, order, {3 * k: uk for k, uk in enumerate(u)})
+    return series.TSeries(nu, order, {3 * k: uk for k, uk in enumerate(u)})
 
 
-def check_U(u: TSeries, order: int | None = None) -> TSeries:
+def check_U(u: series.TSeries, order: int | None = None) -> series.TSeries:
     """Residual 32 nu^3 (1-2U)^2 t^3 - P(U), identically 0 for the solution."""
     nu = u.nu
     order = u.order if order is None else order
     a = _u_polynomial(nu)
-    p = TSeries.zero(nu, u.order)
+    p = series.TSeries.zero(nu, u.order)
     for j in range(5, 0, -1):                     # Horner: P(U) = U (a_1 + U (a_2 + ...))
-        p = (p + TSeries.monomial(nu, u.order, 0, a[j])) * u
-    one_minus_2u = TSeries.monomial(nu, u.order, 0) - u.scale(Fraction(2))
+        p = (p + series.TSeries.monomial(nu, u.order, 0, a[j])) * u
+    one_minus_2u = series.TSeries.monomial(nu, u.order, 0) - u.scale(Fraction(2))
     lhs = (one_minus_2u * one_minus_2u).scale(32 * nu ** 3).shift(3)
     return (lhs - p).with_order(order)
 
@@ -397,7 +400,8 @@ def check_U(u: TSeries, order: int | None = None) -> TSeries:
 # the one-catalytic-variable equation and its uses
 # ---------------------------------------------------------------------------
 
-def _catalytic_combination(v: BivSeries, z1: TSeries, z2: TSeries) -> BivSeries:
+def _catalytic_combination(v: series.BivSeries, z1: series.TSeries,
+                           z2: series.TSeries) -> series.BivSeries:
     """Residual of the one-catalytic-variable equation, in the normalization
     V(y) = sum_p t^p Z_{+^p} y^p (every term polynomial, no divisions).
 
@@ -412,11 +416,11 @@ def _catalytic_combination(v: BivSeries, z1: TSeries, z2: TSeries) -> BivSeries:
     one = Fraction(1)
     order, dx, dy = v.order, v.dx, v.dy
 
-    def mono(k: int, j: int, c: Scalar) -> BivSeries:
-        return BivSeries.monomial(nu, order, dx, dy, k, 0, j, c)
+    def mono(k: int, j: int, c: Scalar) -> series.BivSeries:
+        return series.BivSeries.monomial(nu, order, dx, dy, k, 0, j, c)
 
-    def from_t(s: TSeries) -> BivSeries:
-        out = BivSeries(nu, order, dx, dy)
+    def from_t(s: series.TSeries) -> series.BivSeries:
+        out = series.BivSeries(nu, order, dx, dy)
         out.coeffs = {(k, 0, 0): c for k, c in s.coeffs.items() if k <= order}
         return out
 
@@ -451,7 +455,7 @@ def _catalytic_combination(v: BivSeries, z1: TSeries, z2: TSeries) -> BivSeries:
 class CatalyticReport:
     """The one-catalytic-variable equation's residual at one nu and order."""
 
-    def __init__(self, nu: Scalar, order: int, degenerate: bool, residual: BivSeries):
+    def __init__(self, nu: Scalar, order: int, degenerate: bool, residual: series.BivSeries):
         self.nu = nu
         self.order = order
         self.degenerate = degenerate
@@ -471,9 +475,9 @@ class CatalyticReport:
         }
 
 
-def _v_normalized(words: WordTable, order: int, dy: int) -> BivSeries:
+def _v_normalized(words: WordTable, order: int, dy: int) -> series.BivSeries:
     """V(y) = sum_p t^p Z_{+^p} y^p through t^order, from the word table."""
-    v = BivSeries(words.nu, order, 0, dy)
+    v = series.BivSeries(words.nu, order, 0, dy)
     for p in range(1, words.p_max + 1):
         for k, c in words.series("+" * p).coeffs.items():
             if k + p <= order:
@@ -500,7 +504,7 @@ def verify_catalytic(nu: Scalar, order: int, words: WordTable) -> CatalyticRepor
     return CatalyticReport(nu, order, degenerate=(nu == 1), residual=residual)
 
 
-def zplus_recursion(p: int, nu: Scalar, order: int, words: WordTable) -> TSeries:
+def zplus_recursion(p: int, nu: Scalar, order: int, words: WordTable) -> series.TSeries:
     """Z_{+^p} for p >= 3 rebuilt from Z_+ and Z_++ alone, via the
     y^p-coefficient extraction of the one-catalytic-variable equation.
 
@@ -519,9 +523,9 @@ def zplus_recursion(p: int, nu: Scalar, order: int, words: WordTable) -> TSeries
     z1 = words.series("+").with_order(work)
     z2 = words.series("++").with_order(work)
     inv_c = _inv(2 * nu * (Fraction(1) - nu))
-    zs: dict[int, TSeries] = {1: z1, 2: z2}
+    zs: dict[int, series.TSeries] = {1: z1, 2: z2}
     for q in range(3, p + 1):
-        v = BivSeries(nu, work, 0, 3 * q + 6)
+        v = series.BivSeries(nu, work, 0, 3 * q + 6)
         for r, s in zs.items():
             for k, cc in s.coeffs.items():
                 if k + r <= work:
@@ -579,7 +583,7 @@ def check_q_identities(words: WordTable, order: int) -> list[IdentityResult]:
 
     results = []
 
-    def record(name: str, lhs: TSeries, rhs: TSeries) -> None:
+    def record(name: str, lhs: series.TSeries, rhs: series.TSeries) -> None:
         fail = lhs.first_difference(rhs, n)
         results.append(IdentityResult(name, fail is None, n, fail))
 
@@ -592,7 +596,7 @@ def check_q_identities(words: WordTable, order: int) -> list[IdentityResult]:
     if nu != 1:
         inv_1mn = _inv(Fraction(1) - nu)
         rhs = (
-            TSeries.monomial(nu, n, 1, 2 * nu * inv_1mn)
+            series.TSeries.monomial(nu, n, 1, 2 * nu * inv_1mn)
             + q3.shift(1).scale(nu * inv_1mn)
             - q1.shift(-1).scale(inv_1mn)
             - q1 * q1

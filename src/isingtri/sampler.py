@@ -26,7 +26,7 @@ from bisect import bisect_left, insort
 from . import partition, sha256
 from .exactnum import (Pair, Scalar, _integer_weight, as_scalar, integer_pairs, pair_mul,
                        pair_scalar, sign_sqrt7)
-from .maps.combmap import CombMap, normalize_word, spins_to_word, word_to_spins
+from .maps import CombMap, normalize_word, spins_to_word, word_to_spins
 
 RNG_ALGORITHM = "python-mt19937/sha256-derived-streams"
 

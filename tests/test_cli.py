@@ -290,11 +290,11 @@ ORACLE_MODULES = {"isingtri.maps.oracle", "isingtri.maps.enumerate"}
 
 
 @pytest.mark.parametrize("args, allowed", [
-    (("critical", "--nu", "nu_c"), {"exactnum", "series", "criticality"}),
+    (("critical", "--nu", "nu_c"), {"exactnum", "criticality"}),
     (("coeffs", "--nu", "nu_c", "--target", "sphere", "--order", "9"),
      set(ENGINE_LAYERS) - {"criticality", "sampler", "maps"}),
     (("sample", "exact", "--nu", "2", "--n", "2", "--reps", "5", "--seed", "1"),
-     set(ENGINE_LAYERS) - {"criticality"}),
+     set(ENGINE_LAYERS) - {"criticality", "series"}),
     (("sample", "mcmc", "--nu", "2", "--n", "2", "--steps", "50", "--seed", "1"),
      {"exactnum", "maps", "sampler"}),
     (("stats", "--in", SAMPLES), {"exactnum", "maps", "sampler"}),
@@ -305,6 +305,21 @@ def test_commands_execute_only_the_layers_they_call(args, allowed, sample_dir, t
     assert executed <= allowed
     # none of these commands calls the brute-force oracle
     assert not loaded & ORACLE_MODULES
+
+
+def test_maps_and_sampler_share_one_combmap(tmp_path):
+    # importing a submodule of the lazily registered `maps` by its full name ran
+    # `maps/__init__.py` first and then loaded `combmap` a second time
+    probe = ("import sys, isingtri.cli\n"
+             "assert isingtri.cli.main(sys.argv[1:]) == 0\n"
+             "from isingtri import maps, sampler\n"
+             "home = sys.modules['isingtri.maps.combmap']\n"
+             "assert maps.CombMap is sampler.CombMap is home.CombMap\n"
+             "assert maps.InvalidMap is home.InvalidMap\n")
+    proc = subprocess.run([sys.executable, "-c", probe, "sample", "exact", "--nu", "2", "--n", "2",
+                           "--reps", "3", "--seed", "1", "--output", str(tmp_path / "out.json")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 GATED_COMMANDS = [

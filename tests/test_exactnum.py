@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingtri.exactnum import (
     NU_C,
@@ -16,6 +17,7 @@ from isingtri.exactnum import (
     scalar_to_float,
     sqrt7_interval,
 )
+from quadext_spec import Q7
 
 
 def test_conjugate_product():
@@ -154,3 +156,104 @@ def test_sqrt7_and_cbrt():
     cube = c.powi(3)
     rho = scalar_to_float(RHO_NU_C, 90)
     assert cube.lo <= rho.hi and rho.lo <= cube.hi
+
+
+# -- the field against the Fraction-pair model ------------------------------
+
+# denominators that share factors with each other, and ones that do not
+_SHARED = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 4, 6, 12, 18, 36]))
+_COPRIME = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 5, 7, 11, 13, 49]))
+_RATIONAL = st.one_of(st.integers(-9, 9), _SHARED, _COPRIME)
+_QUAD = st.one_of(st.builds(QuadExt, _SHARED, _SHARED), st.builds(QuadExt, _COPRIME, _COPRIME),
+                  st.builds(QuadExt, _SHARED, _COPRIME), st.builds(QuadExt, _RATIONAL, _RATIONAL))
+
+
+def _model(x) -> Q7:
+    return Q7(x.a, x.b) if isinstance(x, QuadExt) else Q7(x)
+
+
+def _agrees(got, want: Q7) -> None:
+    """`got` is the value `want`, demoted to a Fraction exactly when its sqrt7 part is 0."""
+    if want.b == 0:
+        assert type(got) is Fraction and got == want.a
+        return
+    assert type(got) is QuadExt and (got.a, got.b) == (want.a, want.b)
+    assert (got._u, got._v, got._d) == want.triple()        # equal values, equal triples
+    assert hash(got) == hash((want.a, want.b, "sqrt7"))
+    assert got == QuadExt(want.a, want.b)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(x=_QUAD, y=st.one_of(_RATIONAL, _QUAD))
+def test_field_matches_the_fraction_pair_model(x, y):
+    mx, my = _model(x), _model(y)
+    assert (x.a, x.b) == (mx.a, mx.b)
+    assert hash(x) == (hash(mx.a) if mx.b == 0 else hash((mx.a, mx.b, "sqrt7")))
+    for p, q, mp, mq in ((x, y, mx, my), (y, x, my, mx)):
+        _agrees(p + q, mp + mq)
+        _agrees(p - q, mp - mq)
+        _agrees(p * q, mp * mq)
+        if not mq.is_zero():
+            _agrees(p / q, mp / mq)
+        s = (mp - mq).sign()
+        assert (p < q, p <= q, p == q, p != q, p >= q, p > q) == (
+            s < 0, s <= 0, s == 0, s != 0, s >= 0, s > 0)
+    if not mx.is_zero():
+        _agrees(x.inverse(), mx.inverse())
+        for n in range(-3, 4):
+            _agrees(x ** n, mx ** n)
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), QuadExt(0, 0), QuadExt(Fraction(0, 3), 0)])
+def test_division_by_zero_raises(zero):
+    x = QuadExt(Fraction(3, 4), Fraction(-1, 6))
+    with pytest.raises(DivisionByZero):
+        x / zero
+    if isinstance(zero, QuadExt):
+        for call in (zero.inverse, lambda: zero ** -2, lambda: 1 / zero, lambda: x / zero):
+            with pytest.raises(DivisionByZero):
+                call()
+
+
+# -- the root enclosures against the bisection they replace -----------------
+
+def _bisect_sqrt7(bits):
+    lo, hi = Fraction(2), Fraction(3)
+    while hi - lo > Fraction(1, 1 << bits):
+        mid = (lo + hi) / 2
+        if mid * mid <= 7:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _bisect_cbrt(v, bits, round_up):
+    if v == 0:
+        return Fraction(0)
+    lo, hi = Fraction(0), max(Fraction(1), v)
+    while hi - lo > Fraction(1, 1 << bits):
+        mid = (lo + hi) / 2
+        if mid ** 3 <= v:
+            lo = mid
+        else:
+            hi = mid
+    return hi if round_up else lo
+
+
+_CBRT_VALUES = [
+    Fraction(1, 3), Fraction(1, 10 ** 40), Fraction(999, 1000), Fraction(2, 3),   # below 1
+    Fraction(2), Fraction(2229, 100), Fraction(10 ** 30, 7), Fraction(65, 64),    # above 1
+    Fraction(1), Fraction(8), Fraction(27, 64), Fraction(1, 8), Fraction(1000),   # exact cubes
+]
+
+
+@pytest.mark.parametrize("bits", [24, 53, 64, 96, 104, 128, 200])
+def test_root_enclosures_equal_the_bisection_bit_for_bit(bits):
+    s = sqrt7_interval(bits)
+    assert (s.lo, s.hi) == _bisect_sqrt7(bits)
+    for lo in _CBRT_VALUES:
+        for hi in (lo, lo * Fraction(3, 2)):
+            c = cbrt_interval(Interval(lo, hi), bits)
+            assert (c.lo, c.hi) == (_bisect_cbrt(lo, bits, False), _bisect_cbrt(hi, bits, True))
+    assert cbrt_interval(Interval(0, 0), bits).hi == 0
