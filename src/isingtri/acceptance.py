@@ -35,7 +35,6 @@ from .partition import (
     sphere_series,
     solve_U,
     verify_catalytic,
-    zplus_recursion,
 )
 from .sampler import ExactSamplerContext, exact_sample, mcmc_sample, spun_map
 

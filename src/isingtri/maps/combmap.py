@@ -297,8 +297,8 @@ class CombMap:
     @classmethod
     def from_text(cls, line: str) -> "CombMap":
         fields = dict(part.split("=", 1) for part in line.split())
-        alpha = tuple(int(x) for x in fields["alpha"].strip("[]").split(","))
-        sigma = tuple(int(x) for x in fields["sigma"].strip("[]").split(","))
+        alpha = tuple(map(int, fields["alpha"].strip("[]").split(",")))
+        sigma = tuple(map(int, fields["sigma"].strip("[]").split(",")))
         root = int(fields["root"])
         spins = None
         if "spins" in fields:

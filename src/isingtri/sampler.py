@@ -15,13 +15,16 @@ the word table's integer peeling terms, before the root-edge factor and
 scale d^n (nu = m / d), the Boltzmann sampler weighs sizes by integer
 states, and the Markov chain weighs spins and flips by integer powers of m
 and d.  Every sample records its seed; replicas derive independent streams
-by hashing.
+by hashing.  The chain reads a uniform index below N as CPython 3.11's
+randrange(N) does, N.bit_length() bits from getrandbits drawn again while
+>= N: this rule, like the bit-by-bit choice, is part of what a seed fixes.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from itertools import accumulate
 
 from . import partition, sha256
 from .exactnum import (Pair, Scalar, _integer_weight, as_scalar, integer_pairs, pair_mul,
@@ -515,21 +518,80 @@ def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int,
     unrooted content, so it mixes rootings without changing the target).
     Moves cost time in proportion to the degrees they touch; the map and the
     maintained counts are fully checked every `validate_every` steps and at
-    the end."""
+    the end.  With nu = m / den, a heat-bath move weighs the two spins of a
+    vertex nu^k+ : nu^k- as m^D : den^D, D = |k+ - k-|, in this order when
+    k+ >= k-, and a flip is accepted with probability min(1, nu^delta)."""
     if n < 1:
         raise ValueError("a sphere triangulation has 3n >= 3 edges")
     m, d = _integer_weight(as_scalar(nu))
     den = (d, 0)
     powers = [((1, 0), (1, 0)), (m, den)]       # (m^D, den^D), grown on demand
     rng = random.Random(derive_seed(seed, "mcmc"))
+    getrandbits = rng.getrandbits
     alpha, sigma = _fan_triangulation(n)
     state = McmcState(alpha, sigma, 0, [1] * len(alpha), 0, [])
     state.mono, state.vmins = state.recompute_mono(), state.recompute_vmins()
+    spin, vmins = state.spin, state.vmins
+    # index bounds: flips that change V are refused, so V = n + 2 stays fixed
+    nv, nd = len(vmins), len(alpha)
+    kv, kd = nv.bit_length(), nd.bit_length()
 
     for step in range(steps):
-        _heat_bath(state, powers, rng)
-        _flip_move(state, m, den, rng)
-        state.root = rng.randrange(len(state.alpha))
+        i = getrandbits(kv)
+        while i >= nv:
+            i = getrandbits(kv)
+        start = vmins[i]        # heat bath at vertex i
+        cyc = [start]           # the vertex's darts, from its least one
+        e = sigma[start]
+        while e != start:
+            cyc.append(e)
+            e = sigma[e]
+        darts = set(cyc)
+        # spins across the edges to other vertices: loops stay monochromatic
+        nbrs = [spin[alpha[e]] for e in cyc if alpha[e] not in darts]
+        k_plus = nbrs.count(1)
+        k_minus = len(nbrs) - k_plus
+        D = abs(k_plus - k_minus)
+        while len(powers) <= D:
+            powers.append(tuple(map(pair_mul, powers[-1], powers[1])))
+        weights = powers[D] if k_plus >= k_minus else powers[D][::-1]
+        new_spin = 1 if pick_weighted(weights, rng) == 0 else -1
+        if new_spin != spin[start]:
+            state.mono += (k_plus - k_minus) * new_spin
+            for e in cyc:
+                spin[e] = new_spin
+
+        g = getrandbits(kd)
+        while g >= nd:
+            g = getrandbits(kd)
+        gb = alpha[g]           # flip proposed at the edge of dart g
+        x1 = sigma[gb]
+        x2 = sigma[alpha[x1]]
+        if sigma[alpha[x2]] != g:
+            raise AssertionError("face of degree != 3")
+        # gb in the face (g x1 x2): both sides of the edge bound that one
+        # face, and the edge cannot be flipped
+        if gb not in (x1, x2):
+            y1 = sigma[g]
+            y2 = sigma[alpha[y1]]
+            # g runs a -> b, from the tail of y1 to that of x1; after the flip
+            # it runs c -> d, from the tail of x2 to that of y2
+            delta = (spin[x2] == spin[y2]) - (spin[y1] == spin[x1])
+            if not delta or (bernoulli(m, den, rng) if delta > 0 else bernoulli(den, m, rng)):
+                changed = _flip_edge(alpha, sigma, (g, x1, x2, gb, y1, y2))
+                if changed is not None:
+                    spin[g], spin[gb] = spin[x2], spin[y2]
+                    state.mono += delta
+                    before, after = changed
+                    for e in before - after:
+                        del vmins[bisect_left(vmins, e)]
+                    for e in after - before:
+                        insort(vmins, e)
+
+        g = getrandbits(kd)
+        while g >= nd:
+            g = getrandbits(kd)
+        state.root = g          # re-rooted at dart g
         if collector is not None:
             collector(state)
         if validate_every and (step + 1) % validate_every == 0:
@@ -561,34 +623,6 @@ def _vertex_mins(sigma: list[int], darts) -> set[int]:
     return out
 
 
-def _heat_bath(state: McmcState, powers: list[tuple[Pair, Pair]],
-               rng: random.Random) -> None:
-    """Resample one vertex spin: with nu = m / den, the weights nu^k+ : nu^k-
-    of the two spins scale to m^D : den^D, D = |k+ - k-|, in this order when
-    k+ >= k-; `powers[D]` is (m^D, den^D), and the list grows on demand."""
-    sigma, alpha, spin = state.sigma, state.alpha, state.spin
-    start = state.vmins[rng.randrange(len(state.vmins))]
-    cyc = [start]           # the vertex's darts, from its least one
-    d = sigma[start]
-    while d != start:
-        cyc.append(d)
-        d = sigma[d]
-    darts = set(cyc)
-    # spins across the edges to other vertices: loops stay monochromatic
-    nbrs = [spin[alpha[d]] for d in cyc if alpha[d] not in darts]
-    k_plus = nbrs.count(1)
-    k_minus = len(nbrs) - k_plus
-    D = abs(k_plus - k_minus)
-    while len(powers) <= D:
-        powers.append(tuple(map(pair_mul, powers[-1], powers[1])))
-    weights = powers[D] if k_plus >= k_minus else powers[D][::-1]
-    new_spin = 1 if pick_weighted(weights, rng) == 0 else -1
-    if new_spin != spin[start]:
-        state.mono += (k_plus - k_minus) * new_spin
-        for d in cyc:
-            spin[d] = new_spin
-
-
 def _flip_edge(alpha: list[int], sigma: list[int],
                darts: tuple[int, ...]) -> tuple[set[int], set[int]] | None:
     """Turn the faces (g x1 x2) and (gb y1 y2), darts = (g, x1, x2, gb, y1,
@@ -608,40 +642,6 @@ def _flip_edge(alpha: list[int], sigma: list[int],
             sigma[d] = s
         return None
     return before, after
-
-
-def _flip_move(state: McmcState, m: Pair, den: Pair, rng: random.Random) -> None:
-    """Flip one edge, accepted with probability min(1, nu^delta), nu = m / den."""
-    sigma, alpha, spin = state.sigma, state.alpha, state.spin
-    g = rng.randrange(len(alpha))
-    gb = alpha[g]
-
-    def phi(d):
-        return sigma[alpha[d]]
-
-    x1 = phi(g)
-    x2 = phi(x1)
-    if phi(x2) != g:
-        raise AssertionError("face of degree != 3")
-    y1 = phi(gb)
-    y2 = phi(y1)
-    if {g, x1, x2} == {gb, y1, y2}:
-        return  # the two sides of the edge bound the same face: unflippable
-    # g runs a -> b, from the tail of y1 to that of x1; after the flip it
-    # runs c -> d, from the tail of x2 to that of y2
-    delta = (spin[x2] == spin[y2]) - (spin[y1] == spin[x1])
-    if delta and not (bernoulli(m, den, rng) if delta > 0 else bernoulli(den, m, rng)):
-        return
-    changed = _flip_edge(alpha, sigma, (g, x1, x2, gb, y1, y2))
-    if changed is None:
-        return
-    spin[g], spin[gb] = spin[x2], spin[y2]
-    state.mono += delta
-    before, after = changed
-    for d in before - after:
-        del state.vmins[bisect_left(state.vmins, d)]
-    for d in after - before:
-        insort(state.vmins, d)
 
 
 # ---------------------------------------------------------------------------
@@ -672,14 +672,12 @@ class SampleStats:
 
 
 def vertex_distances(m: CombMap) -> list[int]:
-    vo = m.vertex_of()
-    nv = max(vo) + 1
-    adj: list[set[int]] = [set() for _ in range(nv)]
-    for u, v in m.edges_as_vertex_pairs():
-        adj[u].add(v)
-        adj[v].add(u)
+    vo, alpha = m.vertex_of(), m.alpha
+    adj: list[list[int]] = [[] for _ in range(max(vo) + 1)]
+    for d, u in enumerate(vo):
+        adj[u].append(vo[alpha[d]])
     root = vo[m.root]
-    dist = [-1] * nv
+    dist = [-1] * len(adj)
     dist[root] = 0
     queue = [root]
     while queue:
@@ -694,18 +692,16 @@ def vertex_distances(m: CombMap) -> list[int]:
 
 
 def ball_face_counts(m: CombMap, r_max: int) -> list[int]:
-    """|B_R| for R = 1..r_max: faces with a vertex at distance < R."""
+    """|B_R| for R = 1..r_max: faces with a vertex at distance < R.  A vertex
+    the root does not reach has distance -1 and lies in every ball."""
     vo = m.vertex_of()
     dist = vertex_distances(m)
-    faces = m.faces()
-    out = []
-    for r in range(1, r_max + 1):
-        count = 0
-        for cyc in faces:
-            if any(dist[vo[d]] < r for d in cyc):
-                count += 1
-        out.append(count)
-    return out
+    near = [0] * r_max      # faces by their nearest vertex's distance, -1 as 0
+    for cyc in m.faces():
+        r = min([dist[vo[d]] for d in cyc])
+        if r < r_max:
+            near[max(r, 0)] += 1
+    return list(accumulate(near))
 
 
 def root_degree(m: CombMap) -> int:
@@ -720,11 +716,14 @@ def hull_perimeter_radius1(m: CombMap) -> int:
     vo = m.vertex_of()
     root_v = vo[m.root]
     faces = m.faces()
-    face_id = {}
+    face_id = [0] * m.n_darts
+    in_ball = []
     for i, cyc in enumerate(faces):
+        inside = False
         for d in cyc:
             face_id[d] = i
-    in_ball = [any(vo[d] == root_v for d in cyc) for cyc in faces]
+            inside = inside or vo[d] == root_v
+        in_ball.append(inside)
     outside = [i for i in range(len(faces)) if not in_ball[i]]
     if not outside:
         return 0

@@ -301,11 +301,6 @@ class BivSeries:
             out.coeffs[(kk, ii, jj)] = c * v
         return out
 
-    def swap_xy(self) -> "BivSeries":
-        out = BivSeries(self.nu, self.order, self.dy, self.dx)
-        out.coeffs = {(k, j, i): c for (k, i, j), c in self.coeffs.items()}
-        return out
-
     def extract_tseries(self, i: int, j: int) -> TSeries:
         """The t-series standing in front of x^i y^j."""
         return TSeries(self.nu, self.order,

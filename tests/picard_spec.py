@@ -1,5 +1,6 @@
-"""The system type of `series.solve_fixed_point`, the Picard reference solver
-that the layer-by-layer engines are tested against.
+"""Test helpers for the Picard reference solver `series.solve_fixed_point`:
+its system type, and the x <-> y swap of a `BivSeries` that the reference
+peeling equations and the series tests use.
 
 `perfbench/traced.py` counts the solver's sweeps by `dataclasses.replace` on
 the spec, so it stays a dataclass.
@@ -7,6 +8,8 @@ the spec, so it stays a dataclass.
 
 from dataclasses import dataclass
 from typing import Callable
+
+from isingtri.series import BivSeries
 
 
 @dataclass
@@ -17,3 +20,10 @@ class FixedPointSpec:
     zero: dict
     update: Callable[[dict, int], dict]
     min_gain: int = 1
+
+
+def swap_xy(b: BivSeries) -> BivSeries:
+    """b with the catalytic variables x and y exchanged."""
+    out = BivSeries(b.nu, b.order, b.dy, b.dx)
+    out.coeffs = {(k, j, i): c for (k, i, j), c in b.coeffs.items()}
+    return out

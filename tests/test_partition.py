@@ -26,7 +26,7 @@ from isingtri.series import (
     solve_fixed_point,
 )
 
-from picard_spec import FixedPointSpec
+from picard_spec import FixedPointSpec, swap_xy
 
 NU = Fraction(3)
 
@@ -40,7 +40,7 @@ def x_coeff(b, i):
 
 def y_coeff(b, j):
     """[y^j] b, as a BivSeries in t and x only."""
-    return x_coeff(b.swap_xy(), j).swap_xy()
+    return swap_xy(x_coeff(swap_xy(b), j))
 
 
 def reference_update(nu, order, state):
@@ -56,7 +56,7 @@ def reference_update(nu, order, state):
     M, Z = state["mixed"], state["zplus"]
     m1_of_y = x_coeff(M, 1)                       # [x] S, a series in y
     m1_of_x = y_coeff(M, 1)                       # [y] S, a series in x
-    z_in_y = Z.swap_xy()
+    z_in_y = swap_xy(Z)
     z1 = x_coeff(Z, 1)                            # Z_+ as a plain t-series
 
     xy = BivSeries.monomial(nu, order, M.dx, M.dy, 1, 1, 1)
@@ -143,7 +143,7 @@ def test_dobrushin_matches_reference_picard_solve(nu):
     spec = FixedPointSpec(zero=zero, update=lambda state, work: reference_update(nu, work, state))
     ref = solve_fixed_point(spec, order)
     # the reference builds both sides of the system, so its symmetry is evidence
-    assert ref["mixed"] == ref["mixed"].swap_xy()
+    assert ref["mixed"] == swap_xy(ref["mixed"])
     for name, series in layer_series(nu, solve_dobrushin(nu, order)).items():
         assert series == ref[name]
         assert (series.dx, series.dy) == (ref[name].dx, ref[name].dy)

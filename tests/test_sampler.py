@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -32,6 +33,7 @@ from isingtri.sampler import (
     mcmc_sample,
     pick_weighted,
     root_degree,
+    vertex_distances,
 )
 
 NU = Fraction(2)
@@ -409,6 +411,24 @@ def test_mcmc_tv_convergence_small():
     assert tv < 0.06
 
 
+@pytest.mark.parametrize("nu, digest", [
+    (Fraction(2), "7e3992067985521b"),
+    (Fraction(1, 3), "db60761fe7f2254a"),
+    (NU_C, "6f815d22eb399460"),
+], ids=["2", "1/3", "nu_c"])
+def test_mcmc_trajectory_is_pinned_step_by_step(nu, digest):
+    # every state the collector sees: the maintained counts, the root and, as
+    # criterion 10's collector reads them, the rotations and the spins
+    h = hashlib.sha256()
+
+    def collector(state):
+        key = (state.mono, state.root, len(state.vmins), state.sigma, state.spin)
+        h.update(repr(key).encode())
+
+    mcmc_sample(nu, 3, 500, seed=0, collector=collector)
+    assert h.hexdigest()[:16] == digest
+
+
 def test_boltzmann_small_fugacity_terminates_at_edge():
     # far below the radius the 2-gon collapses to the bare edge almost surely
     ctx = BoltzmannContext(NU, Fraction(1, 100), series_order=15)
@@ -545,6 +565,108 @@ def test_ball_monotone_on_samples():
     for i in range(len(maps)):
         seq = [stats.ball_volumes[r][i] for r in range(1, 5)]
         assert all(a <= b for a, b in zip(seq, seq[1:]))
+
+
+# the local statistics as first written, the reference for the one-pass ones
+
+def reference_vertex_distances(m):
+    vo = m.vertex_of()
+    nv = max(vo) + 1
+    adj: list[set[int]] = [set() for _ in range(nv)]
+    for u, v in m.edges_as_vertex_pairs():
+        adj[u].add(v)
+        adj[v].add(u)
+    root = vo[m.root]
+    dist = [-1] * nv
+    dist[root] = 0
+    queue = [root]
+    while queue:
+        nxt = []
+        for u in queue:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        queue = nxt
+    return dist
+
+
+def reference_ball_face_counts(m, r_max):
+    """|B_R| for R = 1..r_max: faces with a vertex at distance < R."""
+    vo = m.vertex_of()
+    dist = reference_vertex_distances(m)
+    faces = m.faces()
+    out = []
+    for r in range(1, r_max + 1):
+        count = 0
+        for cyc in faces:
+            if any(dist[vo[d]] < r for d in cyc):
+                count += 1
+        out.append(count)
+    return out
+
+
+def reference_hull_perimeter_radius1(m):
+    """Perimeter of the radius-1 hull: faces at the root vertex, plus every
+    complement component except the largest (by face count)."""
+    vo = m.vertex_of()
+    root_v = vo[m.root]
+    faces = m.faces()
+    face_id = {}
+    for i, cyc in enumerate(faces):
+        for d in cyc:
+            face_id[d] = i
+    in_ball = [any(vo[d] == root_v for d in cyc) for cyc in faces]
+    outside = [i for i in range(len(faces)) if not in_ball[i]]
+    if not outside:
+        return 0
+    # face adjacency across edges, restricted to outside faces
+    comp = {i: -1 for i in outside}
+    comps: list[list[int]] = []
+    for start in outside:
+        if comp[start] >= 0:
+            continue
+        cid = len(comps)
+        comps.append([])
+        stack = [start]
+        comp[start] = cid
+        while stack:
+            f = stack.pop()
+            comps[cid].append(f)
+            for d in faces[f]:
+                g = face_id[m.alpha[d]]
+                if not in_ball[g] and comp[g] < 0:
+                    comp[g] = cid
+                    stack.append(g)
+    keep = max(range(len(comps)), key=lambda c: (len(comps[c]), -c))
+    hull_faces = set(range(len(faces))) - {f for f in comps[keep]}
+    per = 0
+    for f in hull_faces:
+        for d in faces[f]:
+            if face_id[m.alpha[d]] not in hull_faces:
+                per += 1
+    return per
+
+
+def test_local_statistics_match_the_reference_at_every_root():
+    cases = [("sphere", None, n) for n in (3, 6, 9)] + [("pgon", 2, n) for n in (1, 4, 7)]
+    seen = 0
+    for kind, p, n in cases:
+        for base in enumerate_maps(n, kind, p):
+            for root in range(base.n_darts):
+                m = CombMap(base.alpha, base.sigma, root)
+                assert vertex_distances(m) == reference_vertex_distances(m)
+                assert hull_perimeter_radius1(m) == reference_hull_perimeter_radius1(m)
+                for r_max in (1, 4, 6):
+                    assert ball_face_counts(m, r_max) == reference_ball_face_counts(m, r_max)
+                seen += 1
+    assert seen == 24 + 384 + 6048 + 2 + 24 + 336
+    # two disjoint double triangles: the far one's vertices have distance -1,
+    # and its faces count in every ball
+    alpha, sigma = _fan_triangulation(1)
+    twice = CombMap(alpha + [a + 6 for a in alpha], sigma + [g + 6 for g in sigma], 0)
+    assert vertex_distances(twice) == reference_vertex_distances(twice) == [0, 1, 1, -1, -1, -1]
+    assert ball_face_counts(twice, 3) == reference_ball_face_counts(twice, 3) == [4, 4, 4]
 
 
 def test_case_weight_check_runs_when_an_entry_is_filled(monkeypatch):
