@@ -27,7 +27,7 @@ from .criticality import (
     spectral_radius,
 )
 from .exactnum import NU_C, RHO_NU_C, Y_C, Interval, format_scalar, scalar_to_float
-from .maps import enumerate_maps, min_degree, oracle_series, oracle_sphere
+from .maps import enumerate_maps, flip_word, min_degree, oracle_series, oracle_sphere
 from .partition import (
     WordTable,
     check_q_identities,
@@ -416,7 +416,7 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
                 failures.append((trial, "support", w, k))
             if not c > 0:
                 failures.append((trial, "nonnegative", w, k))
-        flipped = words.series(w.translate(str.maketrans("+-", "-+")))
+        flipped = words.series(flip_word(w))
         if not series.eq_to_order(flipped, order):
             failures.append((trial, "spin-flip", w, None))
         mixed = words.layers[0][:order + 1]           # the t-layers of S(x, y)

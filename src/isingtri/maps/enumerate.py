@@ -8,6 +8,14 @@ new face is anchored at the least dart not yet inside a closed face, so every
 rooted map is produced in exactly one labeling; a canonical-form set guards
 the uniqueness argument.
 
+The search state is `sigma` and `has_pred` (whether a dart is already some
+sigma value, i.e. has a phi-predecessor), with the count of allocated darts
+and of darts in closed faces passed down the recursion.  Nothing else is
+needed: inside the open face every chain dart but its anchor has a
+predecessor, so a chain may extend to any dart without one other than the
+anchor; and between faces the darts of closed faces are exactly the darts
+with a predecessor, so the next anchor is the least dart without one.
+
 Maps are emitted without spins; the oracle layer sums over spin assignments.
 """
 
@@ -40,7 +48,7 @@ def enumerate_maps(n_edges: int, kind: str, p: int | None = None,
     if n_edges > cap:
         raise CapExceeded(f"n_edges={n_edges} exceeds cap={cap}")
     if n_edges < 1:
-        return
+        return iter(())
     if kind == "sphere":
         p_root = 3
     elif kind in ("pgon", "nonsimple"):
@@ -50,86 +58,42 @@ def enumerate_maps(n_edges: int, kind: str, p: int | None = None,
     else:
         raise ValueError(f"unknown kind {kind!r}")
     if not _support_ok(n_edges, p_root):
-        return
+        return iter(())
 
     D = 2 * n_edges
     n_faces = 1 + (D - p_root) // 3
     alpha = tuple(d ^ 1 for d in range(D))
-    sigma: list[int | None] = [None] * D
+    sigma: list[int | None] = [None] * D    # every entry is set again before `emit` reads it
     has_pred = [False] * D
-    in_chain = [False] * D
-    faced = [False] * D
+    maps: list[CombMap] = []
     seen_keys: set[tuple] = set()
 
-    state = {"n_alloc": 2, "closed": 0}
-
-    def candidates(x: int, chain_len: int, target: int, x0: int):
+    def extend(x0: int, x: int, length: int, target: int, n_alloc: int, closed: int) -> None:
+        """Choose the successor of x, the end of the open face's chain from x0."""
         a = alpha[x]
-        if sigma[a] is not None:
+        if length == target:
+            sigma[a] = x0
+            has_pred[x0] = True
+            next_face(n_alloc, closed + length)
+            has_pred[x0] = False
             return
-        if chain_len == target:
-            if not has_pred[x0]:
-                yield x0
+        for y in range(min(n_alloc + 1, D)):      # allocated darts, then the next fresh one
+            if not has_pred[y] and y != x0:
+                sigma[a] = y
+                has_pred[y] = True
+                extend(x0, y, length + 1, target, n_alloc + 2 if y == n_alloc else n_alloc,
+                       closed)
+                has_pred[y] = False
+
+    def next_face(n_alloc: int, closed: int) -> None:
+        if closed == D:
+            emit()
             return
-        for y in range(state["n_alloc"]):
-            if not has_pred[y] and not in_chain[y]:
-                yield y
-        if state["n_alloc"] < D:
-            yield state["n_alloc"]
+        anchor = has_pred.index(False)
+        if anchor < n_alloc and (D - closed) % 3 == 0:   # else disconnected, or not triangles
+            extend(anchor, anchor, 1, 3, n_alloc, closed)
 
-    def close_face(chain: list[int]) -> None:
-        for d in chain:
-            faced[d] = True
-        state["closed"] += len(chain)
-
-    def open_face(chain: list[int]) -> None:
-        for d in chain:
-            faced[d] = False
-        state["closed"] -= len(chain)
-
-    def build_chain(chain: list[int], x0: int, target: int):
-        x = chain[-1]
-        a = alpha[x]
-        for y in candidates(x, len(chain), target, x0):
-            fresh = y >= state["n_alloc"]
-            closing = y == x0 and len(chain) == target
-            if fresh:
-                state["n_alloc"] += 2
-            sigma[a] = y
-            has_pred[y] = True
-            if closing:
-                close_face(chain)
-                yield from next_face()
-                open_face(chain)
-            else:
-                chain.append(y)
-                in_chain[y] = True
-                yield from build_chain(chain, x0, target)
-                in_chain[y] = False
-                chain.pop()
-            sigma[a] = None
-            has_pred[y] = False
-            if fresh:
-                state["n_alloc"] -= 2
-
-    def next_face():
-        anchor = -1
-        for d in range(state["n_alloc"]):
-            if not faced[d]:
-                anchor = d
-                break
-        if anchor < 0:
-            if state["n_alloc"] == D:
-                yield from emit()
-            return
-        remaining = D - state["closed"]
-        if remaining < 3 or remaining % 3:
-            return
-        in_chain[anchor] = True
-        yield from build_chain([anchor], anchor, 3)
-        in_chain[anchor] = False
-
-    def emit():
+    def emit() -> None:
         m = CombMap(alpha, tuple(sigma), 0)  # type: ignore[arg-type]
         if m.n_vertices() - n_edges + n_faces != 2:
             return      # disconnected or of positive genus: `validate` would reject it
@@ -144,12 +108,7 @@ def enumerate_maps(n_edges: int, kind: str, p: int | None = None,
         if key in seen_keys:
             return
         seen_keys.add(key)
-        yield m
+        maps.append(m)
 
-    # root face first: the face through dart alpha[0] = 1, of degree p_root
-    remaining = D - p_root
-    if remaining % 3 or remaining < 0:
-        return
-    in_chain[1] = True
-    yield from build_chain([1], 1, p_root)
-    in_chain[1] = False
+    extend(1, 1, 1, p_root, 2, 0)     # root face first: through dart alpha[0] = 1, degree p_root
+    return iter(maps)

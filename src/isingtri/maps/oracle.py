@@ -86,51 +86,35 @@ def _eval_hist(hist: list[int], nu: Scalar) -> Scalar:
     return total
 
 
-def oracle_series(omega: str, nu: Scalar, order: int, cap: int = DEFAULT_CAP) -> TSeries:
-    """Z_omega by brute force: boundary spins fixed by the word, interior summed."""
+def _series(p: int, nu: Scalar, order: int, cap: int, row) -> TSeries:
+    """The series whose [t^n] is the histogram `row(_table(p, n, cap))` at nu
+    (no term where it is None), over the sizes a degree-p root face allows."""
     if order > cap:
         raise CapExceeded(f"order {order} exceeds oracle cap {cap}")
     nu = as_scalar(nu)
-    p = len(omega)
     coeffs = {}
     for n in range(1, order + 1):
         if (2 * n - p) % 3:
             continue
-        hist = _table(p, n, cap)[1].get(omega)
-        if hist is None:
-            continue
-        c = _eval_hist(hist, nu)
-        if c:
-            coeffs[n] = c
+        hist = row(_table(p, n, cap))
+        if hist is not None:
+            coeffs[n] = _eval_hist(hist, nu)
     return TSeries(nu, order, coeffs)
+
+
+def oracle_series(omega: str, nu: Scalar, order: int, cap: int = DEFAULT_CAP) -> TSeries:
+    """Z_omega by brute force: boundary spins fixed by the word, interior summed."""
+    return _series(len(omega), nu, order, cap, lambda table: table[1].get(omega))
 
 
 def oracle_sphere(nu: Scalar, order: int, cap: int = DEFAULT_CAP) -> TSeries:
     """The sphere partition series: every spin assignment of every vertex."""
-    if order > cap:
-        raise CapExceeded(f"order {order} exceeds oracle cap {cap}")
-    nu = as_scalar(nu)
-    coeffs = {}
-    for n in range(3, order + 1, 3):
-        c = _eval_hist(_table(3, n, cap)[0], nu)
-        if c:
-            coeffs[n] = c
-    return TSeries(nu, order, coeffs)
+    return _series(3, nu, order, cap, lambda table: table[0])
 
 
 def oracle_Q(p: int, nu: Scalar, order: int, cap: int = DEFAULT_CAP) -> TSeries:
     """Boundary-of-degree-p series with free spins and the global 1/2 factor."""
-    if order > cap:
-        raise CapExceeded(f"order {order} exceeds oracle cap {cap}")
-    nu = as_scalar(nu)
-    coeffs = {}
-    for n in range(1, order + 1):
-        if (2 * n - p) % 3:
-            continue
-        c = _eval_hist(_table(p, n, cap)[0], nu) * Fraction(1, 2)
-        if c:
-            coeffs[n] = c
-    return TSeries(nu, order, coeffs)
+    return _series(p, nu, order, cap, lambda table: table[0]).scale(Fraction(1, 2))
 
 
 def count_maps(kind: str, p: int, n_edges: int, cap: int = DEFAULT_CAP) -> int:

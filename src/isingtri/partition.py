@@ -32,11 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import series
-from .exactnum import Scalar, _integer_weight, as_scalar, format_scalar, pair_mul, pair_scalar
-
-
-def _inv(s: Scalar) -> Scalar:
-    return as_scalar(Fraction(1)) / s if not isinstance(s, Fraction) else Fraction(1) / s
+from .exactnum import Pair, Scalar, _integer_weight, as_scalar, format_scalar, pair_mul, pair_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +180,10 @@ class WordTable:
     least 2p - 3 edges, so c(w, n) = 0 for n < 2p - 3: this size budget
     bounds the states one coefficient reaches.  `terms` lists the identity's
     nonzero terms, which the exact sampler reads as its case weights, and
-    `total` weighs them by the root edge.  `state` reads one integer state,
-    `coeff` the scalar it stands for; `series` assembles the nonzero states
-    of t^0..t^order into `entries`, which keeps the scalars (the samplers
-    read states only).
+    `total` weighs them by the root edge.  `state` reads one integer state;
+    `series` assembles the nonzero states of t^0..t^order into `entries`,
+    which keeps the scalars (the samplers read states only).
+    `sphere_classes` weighs the sphere relation's root classes on states.
     """
 
     def __init__(self, nu: Scalar, order: int):
@@ -199,6 +195,7 @@ class WordTable:
         self._m, self._d = _integer_weight(self.nu)
         self._states: dict[tuple[str, int], tuple[int, int] | None] = {}
         self._read: dict[tuple[str, int], tuple[int, int]] = {}   # _state results, by word
+        self._spheres: dict[int, tuple[list[Pair], list[int], list[Pair]]] = {}
 
     def _key(self, word: str) -> str:
         """The least rotation or reversal of `word` or of its spin flip."""
@@ -215,10 +212,6 @@ class WordTable:
             self.entries[key] = series.TSeries(self.nu, self.order, {
                 n: pair_scalar(c, self._d ** n) for n, c in states if c != (0, 0)})
         return self.entries[key]
-
-    def coeff(self, word: str, n: int) -> Scalar:
-        """[t^n] Z_word, for n <= order."""
-        return pair_scalar(self.state(word, n), self._d ** n)
 
     def state(self, word: str, n: int) -> tuple[int, int]:
         """c(word, n) = d^n [t^n] Z_word as the pair (u, v) of u + v sqrt7, for n <= order."""
@@ -298,34 +291,60 @@ class WordTable:
             return self._d * u, self._d * v
         return pair_mul(self._m, (u, v))
 
+    def sphere_classes(self, size: int) -> tuple[list[Pair], list[int], list[Pair]]:
+        """The sphere relation's root classes at size s, tabulated once per size:
+        the class weights d c(++, s), m c(+-, s), d sum_k c(+, k) c(+, s - k),
+        and the loop split sizes k with their nonzero weights c(+, k) c(+, s - k).
+
+        The weights sum to nu d^(s+1) / 2 times [t^(s-1)] of the sphere series
+        (see `sphere_series`), so they are its root classes up to one scale.
+        """
+        entry = self._spheres.get(size)
+        if entry is None:
+            state, d = self.state, (self._d, 0)
+            split_sizes, split_weights = [], []
+            for k1 in range(2, size - 1):
+                c1, c2 = state("+", k1), state("+", size - k1)
+                if c1 != (0, 0) and c2 != (0, 0):
+                    split_sizes.append(k1)
+                    split_weights.append(pair_mul(c1, c2))
+            loops = (sum(u for u, _ in split_weights), sum(v for _, v in split_weights))
+            weights = [pair_mul(d, state("++", size)), pair_mul(self._m, state("+-", size)),
+                       pair_mul(d, loops)]
+            entry = self._spheres[size] = (weights, split_sizes, split_weights)
+        return entry
+
 
 # ---------------------------------------------------------------------------
 # sphere series
 # ---------------------------------------------------------------------------
 
 def sphere_series(nu: Scalar, order: int, words: WordTable | None = None) -> series.TSeries:
-    """The sphere partition series from the 1- and 2-gon series of `words`,
-    a word table to order + 1 (built here when not given).
+    """The sphere partition series from the 1- and 2-gon states of `words`,
+    a word table at nu to order + 1 (built here when not given).
 
     The root-edge opening bijection sends sphere triangulations rooted on a
     non-loop to 2-gon triangulations *other than* the bare edge (closing the
     bare edge leaves a single edge on the sphere, which has no triangular
-    face), so the edge-triangulation terms nu*t and t are removed from the
-    2-gon series before recombining.
+    face), and those rooted on a loop to pairs of 1-gons, so
+
+        Z_sphere = 2 ((Z_{++} - nu t) / nu + (Z_{+-} - t) + Z_+^2 / nu) / t.
+
+    With nu = m / d and states c = d^s [t^s] Z, [t^(s-1)] Z_sphere is twice
+    the sum of `words.sphere_classes(s)`'s weights over nu d^(s+1); the
+    support is s = 4, 7, ..., and the bare edge only enters at s = 1.
     """
     nu = as_scalar(nu)
     if words is None:
         words = WordTable(nu, order + 1)
-    if words.order < order + 1:
-        raise ValueError("the word table must reach order + 1")
-    inv_nu = _inv(nu)
-    z1 = words.series("+")
-    mono_pp = series.TSeries.monomial(nu, words.order, 1, nu)
-    mono_pm = series.TSeries.monomial(nu, words.order, 1)
-    combo = ((words.series("++") - mono_pp).scale(inv_nu)
-             + (words.series("+-") - mono_pm)
-             + (z1 * z1).scale(inv_nu))
-    return combo.shift(-1).scale(Fraction(2)).with_order(order)
+    if words.nu != nu or words.order < order + 1:
+        raise ValueError("the word table must be at nu and reach order + 1")
+    coeffs = {}
+    for s in range(4, order + 2, 3):
+        weights = words.sphere_classes(s)[0]
+        total = (2 * sum(u for u, _ in weights), 2 * sum(v for _, v in weights))
+        coeffs[s - 1] = pair_scalar(total, words._d ** (s + 1)) / nu
+    return series.TSeries(nu, order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +388,7 @@ def solve_U(nu: Scalar, order: int) -> series.TSeries:
     if not nu > 0:
         raise ValueError("nu must be positive")
     a = _u_polynomial(nu)
-    inv_a1 = _inv(a[1])
+    inv_a1 = Fraction(1) / a[1]
     lead = 32 * nu ** 3
     zero = Fraction(0)
     u = [zero]
@@ -522,7 +541,7 @@ def zplus_recursion(p: int, nu: Scalar, order: int, words: WordTable) -> series.
         raise ValueError(f"the word table must reach order+p = {work} at the same nu")
     z1 = words.series("+").with_order(work)
     z2 = words.series("++").with_order(work)
-    inv_c = _inv(2 * nu * (Fraction(1) - nu))
+    inv_c = Fraction(1) / (2 * nu * (Fraction(1) - nu))
     zs: dict[int, series.TSeries] = {1: z1, 2: z2}
     for q in range(3, p + 1):
         v = series.BivSeries(nu, work, 0, 3 * q + 6)
@@ -594,7 +613,7 @@ def check_q_identities(words: WordTable, order: int) -> list[IdentityResult]:
            z_ppp + z_ppm.scale(Fraction(3)),
            q3 - q1 * q2 - (q1 * (q2 - q1 * q1)).scale(Fraction(2)))
     if nu != 1:
-        inv_1mn = _inv(Fraction(1) - nu)
+        inv_1mn = Fraction(1) / (Fraction(1) - nu)
         rhs = (
             series.TSeries.monomial(nu, n, 1, 2 * nu * inv_1mn)
             + q3.shift(1).scale(nu * inv_1mn)

@@ -268,9 +268,7 @@ class ExactSamplerContext:
         self.nu = as_scalar(nu)
         self.order = max_edges
         self.words = partition.WordTable(self.nu, self.order)
-        self._m, self._d = _integer_weight(self.nu)
         self._cases: dict[tuple[str, int], tuple[list[tuple], list[Pair]]] = {}
-        self._roots: dict[int, tuple[list[Pair], list[int], list[Pair]]] = {}
 
     def case_weights(self, word: str, n: int) -> tuple[list[tuple], list[Pair]]:
         """The nonzero terms (case, ((child, size), ...), (u, v)) of c(word, n),
@@ -287,26 +285,6 @@ class ExactSamplerContext:
             if words.total(word, terms) != words.state(word, n):
                 raise AssertionError("peeling case weights do not sum to the coefficient")
             entry = self._cases[word, n] = (terms, [c for *_, c in terms])
-        return entry
-
-    def root_classes(self, size: int) -> tuple[list[Pair], list[int], list[Pair]]:
-        """A sphere draw's root classes at s = 3n + 1, tabulated once per size:
-        with nu = m / d and S the integer states, the class weights d S(++, s),
-        m S(+-, s), d sum_k S(+, k) S(+, s - k), and the loop split sizes k
-        with their nonzero weights S(+, k) S(+, s - k)."""
-        entry = self._roots.get(size)
-        if entry is None:
-            state, d = self.words.state, (self._d, 0)
-            split_sizes, split_weights = [], []
-            for k1 in range(2, size - 1):
-                c1, c2 = state("+", k1), state("+", size - k1)
-                if c1 != (0, 0) and c2 != (0, 0):
-                    split_sizes.append(k1)
-                    split_weights.append(pair_mul(c1, c2))
-            loops = (sum(u for u, _ in split_weights), sum(v for _, v in split_weights))
-            weights = [pair_mul(d, state("++", size)), pair_mul(self._m, state("+-", size)),
-                       pair_mul(d, loops)]
-            entry = self._roots[size] = (weights, split_sizes, split_weights)
         return entry
 
 
@@ -340,8 +318,8 @@ def exact_sample(nu: Scalar, n: int, seed: int,
     sphere relation, the corresponding gon is sampled by recursive peeling
     with coefficient weights, and the boundary is sewn back up.
 
-    The three root classes are weighed by `ctx.root_classes(3n + 1)`: the
-    sphere relation's weights times nu d^s.
+    The three root classes are weighed by `ctx.words.sphere_classes(3n + 1)`:
+    at s = 3n + 1, the sphere relation's weights times m d^s = nu d^(s+1).
     """
     if n < 1:
         raise ValueError("a sphere triangulation has 3n >= 3 edges")
@@ -354,7 +332,7 @@ def exact_sample(nu: Scalar, n: int, seed: int,
     if ctx.order < size:
         raise CoefficientsMissing("context solved to insufficient order")
     rng = random.Random(derive_seed(seed, "exact"))
-    weights, split_sizes, split_weights = ctx.root_classes(size)
+    weights, split_sizes, split_weights = ctx.words.sphere_classes(size)
     case = pick_weighted(weights, rng)
     if case < 2:
         result = _close_2gon(_sample_gon_exact(ctx, ("++", "+-")[case], size, rng))
@@ -393,7 +371,7 @@ class BoltzmannContext(ExactSamplerContext):
             raise ValueError("the fugacity t must be positive")
         super().__init__(nu, series_order)
         (self._tp,), tden = integer_pairs([self.t])
-        self._step = self._d * tden
+        self._step = _integer_weight(self.nu)[1] * tden
         self._sizes: dict[str, list[Pair]] = {}
 
     def size_weights(self, word: str) -> list[Pair]:

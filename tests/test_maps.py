@@ -147,6 +147,20 @@ def test_histograms_match_two_pass_reference(kind, p):
         assert oracle_histograms(kind, p, n) == reference_histograms(kind, p, n)
 
 
+def test_map_labels_and_order_pinned():
+    # sha256 of every map's text in enumeration order, so a relabelling or a
+    # reordering shows (the histograms and counts above do not depend on either)
+    texts = {f"{kind}/{p}/{n}": [m.to_text() for m in enumerate_maps(n, kind, p)]
+             for kind, p in KIND_P for n in range(1, 10)}
+    text = json.dumps(texts, sort_keys=True, separators=(",", ":"))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "82c2335b77303a2c60bb39481e64b46bfecd34e115988dde027abb46294087ed")
+
+
+def test_sphere_count_past_the_default_cap():
+    assert count_maps("sphere", 0, 12, cap=12) == 4096     # OEIS A002005
+
+
 def test_map_counts_pinned():
     counts = {(kind, p): [count_maps(kind, p, n) for n in range(1, 10) if (2 * n - p) % 3 == 0]
               for kind in ("pgon", "nonsimple") for p in (1, 2, 3)}

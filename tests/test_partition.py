@@ -18,6 +18,7 @@ from isingtri.partition import (
     verify_catalytic,
     zplus_recursion,
 )
+from isingtri.sampler import ExactSamplerContext, exact_sample
 from isingtri.series import (
     BivSeries,
     DegreeOverflow,
@@ -107,12 +108,17 @@ def words10():
     return WordTable(NU, 10)
 
 
+def coeff(words, word, n):
+    """[t^n] Z_word, read from the one integer state of `words` it stands for."""
+    return pair_scalar(words.state(word, n), words._d ** n)
+
+
 def test_dobrushin_examples(words10):
-    assert words10.coeff("++", 1) == NU               # edge 2-gon
-    assert words10.coeff("+", 2) == NU * NU + NU
+    assert words10.series("++").coeff(1) == NU               # edge 2-gon
+    assert words10.series("+").coeff(2) == NU * NU + NU
     for k in range(words10.order + 1):
         if (k + 1) % 3:
-            assert words10.coeff("+", k) == 0
+            assert words10.series("+").coeff(k) == 0
 
 
 def test_dobrushin_matches_oracle(words10):
@@ -289,12 +295,12 @@ def test_word_table_matches_reference_picard_solve(nu, order):
     ref = solve_fixed_point(FixedPointSpec(zero, reference_word_update(nu, seeds, unknowns)), order)
     words = WordTable(nu, order)
     # read one top state cold first, so that it recurses through the states below it
-    assert words.coeff(unknowns[-1], order) == ref[unknowns[-1]].coeff(order)
+    assert coeff(words, unknowns[-1], order) == ref[unknowns[-1]].coeff(order)
     for w in unknowns:
         flipped = w.translate(str.maketrans("+-", "-+"))
         for n in range(order + 1):
-            assert words.coeff(w, n) == ref[w].coeff(n)
-            assert words.coeff(flipped, n) == ref[w].coeff(n)
+            assert coeff(words, w, n) == ref[w].coeff(n)
+            assert coeff(words, flipped, n) == ref[w].coeff(n)
         assert words.series(w).order == order
         assert words.series(w).coeffs == ref[w].coeffs
 
@@ -315,11 +321,11 @@ def test_word_table_size_budget():
     words = WordTable(NU, 12)
     # a p-gon has at least 2p - 3 edges: below that a state is zero and never stored
     for p in range(3, 8):
-        assert words.coeff("+" * p, 2 * p - 4) == 0
-        assert words.coeff("+" * p, 2 * p - 3) > 0
+        assert words.state("+" * p, 2 * p - 4) == (0, 0)
+        assert coeff(words, "+" * p, 2 * p - 3) > 0
     assert all(n >= 2 * len(w) - 3 for w, n in words._states)
     with pytest.raises(ValueError):
-        words.coeff("+++", 13)
+        words.state("+++", 13)
 
 
 def test_word_table_takes_no_flip_key_on_a_repeated_read(monkeypatch):
@@ -414,6 +420,18 @@ def test_sphere_series(words10):
     sph = sphere_series(NU, 9, words10)
     assert sph.eq_to_order(oracle_sphere(NU, 9), 9)
     assert sph.support() == [3, 6, 9]
+
+
+def test_sphere_classes_are_tabulated_once_per_size():
+    ctx = ExactSamplerContext(Fraction(2), 7)
+    first = exact_sample(Fraction(2), 2, seed=3, ctx=ctx)
+    assert ctx.words.sphere_classes(7) is ctx.words.sphere_classes(7)
+    reads = []
+    state = ctx.words.state
+    ctx.words.state = lambda word, n: reads.append(word) or state(word, n)
+    assert exact_sample(Fraction(2), 2, seed=3, ctx=ctx) == first
+    # the same draw again: only the drawn gons' nonzero checks read states
+    assert len(reads) <= 2
 
 
 def test_sphere_nu1_unspun_counts():
