@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .exactnum import (
@@ -36,6 +37,9 @@ from .exactnum import (
 
 if TYPE_CHECKING:
     from .series import TSeries
+
+# binary digits after the point kept by every interval rounding in this module
+_BITS = 96
 
 
 class NoPositiveRoot(ArithmeticError):
@@ -153,14 +157,12 @@ class CriticalData:
     """Regime, singularity location and derived constants for one weight."""
 
     def __init__(self, nu: Scalar, regime: str, rho: Interval, rho_exact: Scalar | None,
-                 t_nu: Interval, ratio_estimate: Interval | None = None,
-                 selection_margin: float | None = None):
+                 t_nu: Interval, selection_margin: float | None = None):
         self.nu = nu
         self.regime = regime                  # subcritical_P2 | supercritical_P1 | critical
         self.rho = rho
         self.rho_exact = rho_exact            # set when rho lies in the working field
         self.t_nu = t_nu
-        self.ratio_estimate = ratio_estimate
         self.selection_margin = selection_margin
 
     @property
@@ -184,7 +186,7 @@ class CriticalData:
         return out
 
 
-def _ratio_radius_estimate(nu: Scalar, order: int = 33) -> Interval:
+def _ratio_radius_estimate(nu: Scalar) -> Interval:
     """Radius estimate (in t^3) from sphere-series coefficient ratios.
 
     Raw ratios approach rho like 1 + alpha/n, so one Richardson step gives a
@@ -192,7 +194,7 @@ def _ratio_radius_estimate(nu: Scalar, order: int = 33) -> Interval:
     """
     from .partition import sphere_series
 
-    series = sphere_series(nu, order)
+    series = sphere_series(nu, 33)
     ks = series.support()
     if len(ks) < 6:
         raise InsufficientOrder("not enough sphere coefficients for a ratio estimate")
@@ -217,6 +219,8 @@ def critical_point(nu: Scalar, width: Fraction = Fraction(1, 10 ** 30)) -> Criti
     nu = as_scalar(nu)
     if not nu > 0:
         raise ValueError("nu must be positive")
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width}")
     bits = max(32, int(-math.log2(float(width))) + 8)
 
     if nu == NU_C:
@@ -249,7 +253,7 @@ def critical_point(nu: Scalar, width: Fraction = Fraction(1, 10 ** 30)) -> Criti
     if chosen.width == 0:
         rho_exact = chosen.lo
     return CriticalData(nu, regime, chosen, rho_exact, cbrt_interval(chosen, bits),
-                        ratio_estimate=estimate, selection_margin=margin)
+                        selection_margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -279,31 +283,31 @@ def _tail_sum(alpha: float, n_start: float) -> float:
     return total
 
 
-def eval_series_interval(series: TSeries, t: Interval, alpha: Fraction | float,
-                         bits: int = 96) -> Interval:
-    """Partial sum at an interval point plus a fitted tail.
+def eval_series_interval(series: TSeries, t: Interval, alpha: Fraction | float) -> Interval:
+    """Partial sum at an interval point t >= 0 plus a fitted tail.
 
     The tail models c_k t^k ~ kappa (k/3)^-alpha along the series' support
     class; kappa is fitted on the last support points and the reported band
     is the spread of the last two tail-corrected estimates (heuristic).
+    Each power t^k is the running product of the powers between support
+    points, which for t >= 0 is the exact interval [t.lo^k, t.hi^k].
     """
     if series.is_zero():
         return Interval(Fraction(0))
     ks = series.support()
-    partial = Interval(Fraction(0))
-    partials = {}
+    partial, power, prev = Interval(Fraction(0)), Interval(Fraction(1)), 0
+    last = []                       # (k, c_k t^k, partial sum to k) at the last two k
     for k in ks:
-        partial = (partial + scalar_to_float(series.coeff(k), bits) * t.powi(k)).rounded(bits)
-        partials[k] = partial
+        power = power * t.powi(k - prev)
+        prev = k
+        term = scalar_to_float(series.coeff(k), _BITS) * power
+        partial = (partial + term).rounded(_BITS)
+        last = [*last[-1:], (k, term, partial)]
     if len(ks) < 3:
         return partial
     a = float(alpha)
-    estimates = []
-    for k_last in ks[-2:]:
-        term = scalar_to_float(series.coeff(k_last), bits) * t.powi(k_last)
-        kappa = float(term.mid) * (k_last / 3.0) ** a
-        tail = kappa * _tail_sum(a, (k_last + 3) / 3.0)
-        estimates.append(float(partials[k_last].mid) + tail)
+    estimates = [float(upto.mid) + float(term.mid) * (k / 3.0) ** a * _tail_sum(a, (k + 3) / 3.0)
+                 for k, term, upto in last]
     value = estimates[-1]
     # successive estimates drift like a slow power of n; scale the spread by
     # n to cover the remaining systematic part (heuristic, not a proof)
@@ -312,13 +316,13 @@ def eval_series_interval(series: TSeries, t: Interval, alpha: Fraction | float,
     return Interval(Fraction(value - band), Fraction(value + band))
 
 
-def eval_at_tnu(series: TSeries, crit: CriticalData, bits: int = 96) -> Interval:
+def eval_at_tnu(series: TSeries, crit: CriticalData) -> Interval:
     """Evaluate a nonnegative series at t_nu with the regime's tail model."""
     if series.is_zero():
         return Interval(Fraction(0))
     if series.order < 30:
         raise InsufficientOrder("evaluation at t_nu needs series order >= 30")
-    return eval_series_interval(series, crit.t_nu, crit.alpha, bits)
+    return eval_series_interval(series, crit.t_nu, crit.alpha)
 
 
 def boundary_at_tnu(words, crit: CriticalData, order: int) -> tuple[Interval, Interval, Interval]:
@@ -393,12 +397,11 @@ def _band(values: list[float]) -> tuple[float, Interval]:
     return mid, Interval(Fraction(mid - half), Fraction(mid + half))
 
 
-def estimate_asymptotics(series: TSeries, crit: CriticalData,
-                         burn_in: int = 3) -> AsymptoticFit:
+def estimate_asymptotics(series: TSeries, crit: CriticalData) -> AsymptoticFit:
     """Growth rate, exponent and constant from the coefficients.
 
-    Both come from exact fits on consecutive points past the burn-in.  The
-    growth rate is e^L from fits of
+    Both come from exact fits on consecutive points past the first three
+    (the burn-in).  The growth rate is e^L from fits of
 
         log c_n = A + n L - alpha log n + sum_{j=1..m} b_j n^(-j eps)
 
@@ -414,7 +417,7 @@ def estimate_asymptotics(series: TSeries, crit: CriticalData,
         raise InsufficientOrder("need at least 10 nonzero coefficients")
     if len({k % 3 for k in ks}) != 1:
         raise ValueError("series support must lie in one residue class mod 3")
-    ks = ks[burn_in:]
+    ks = ks[3:]
     offset = (-ks[0]) % 3
     ns = [(k + offset) / 3.0 for k in ks]
     logs = [_log_scalar(series.coeff(k)) for k in ks]
@@ -460,10 +463,9 @@ TYPE_ORDER = ("+", "++", "W++", "-+", "W-+")
 class MeanMatrix:
     """Mean offspring counts for the root-degree-dominating branching process."""
 
-    def __init__(self, nu: Scalar, entries: list[list[Interval]], inputs: dict):
+    def __init__(self, nu: Scalar, entries: list[list[Interval]]):
         self.nu = nu
         self.entries = entries
-        self.inputs = inputs
 
     def to_json(self) -> dict:
         return {
@@ -482,9 +484,8 @@ def mean_matrix(crit: CriticalData, z1: Interval, z2: Interval, zm: Interval) ->
     """
     nu = crit.nu
     T = crit.t_nu
-    nmin = scalar_to_float(nu if nu < 1 else Fraction(1), 96)   # 1 ^ nu (min)
-    nmax = scalar_to_float(nu if nu > 1 else Fraction(1), 96)   # 1 v nu (max)
-    nuv = scalar_to_float(nu, 96)
+    nmin = scalar_to_float(nu if nu < 1 else Fraction(1), _BITS)   # 1 ^ nu (min)
+    nuv = scalar_to_float(nu, _BITS)
     zero = Interval(Fraction(0))
     one = Interval(Fraction(1))
 
@@ -503,52 +504,49 @@ def mean_matrix(crit: CriticalData, z1: Interval, z2: Interval, zm: Interval) ->
         for j, e in enumerate(row):
             if e.hi < 0:
                 raise NegativeEntry(f"entry ({i},{j}) is negative: {e}")
-    return MeanMatrix(nu, rows, {
-        "t_nu": T, "Z_+": z1, "Z_++": z2, "Z_-+": zm,
-        "nu_min1": nmin, "nu_max1": nmax,
-    })
+    return MeanMatrix(nu, rows)
 
 
-def spectral_radius(m: MeanMatrix, tol: Fraction = Fraction(1, 10 ** 8),
-                    max_iter: int = 20000, bits: int = 192) -> Interval:
+def spectral_radius(m: MeanMatrix) -> Interval:
     """Perron-root bracket via Collatz-Wielandt bounds.
 
     The bounds min_i (Av)_i/v_i <= r(A) <= max_i (Av)_i/v_i hold for every
     positive v and nonnegative A, so power iteration with rounded vectors is
     still rigorous: the lower bound is run on the entrywise-lower matrix and
-    the upper bound on the entrywise-upper one.
+    the upper bound on the entrywise-upper one, each clamped at 0.
+
+    The iteration runs on integers.  The matrix is scaled by the common
+    denominator D of its entries, and the iterate is v = k / 2^192 for
+    integers k: each step rounds v / max(v) down onto the grid 2^-192, and
+    up to 2^-192 where it would reach 0.  Then (Av)_i / v_i = W_i / (D k_i)
+    with W = (D A) k.  A bound is final once it moves by less than 10^-8.
     """
-    def clamp_low(x: Fraction) -> Fraction:
-        return x if x > 0 else Fraction(0)
-
-    lo_matrix = [[clamp_low(e.lo) for e in row] for row in m.entries]
-    hi_matrix = [[clamp_low(e.hi) for e in row] for row in m.entries]
-
-    def cw(matrix: list[list[Fraction]], want_upper: bool) -> Fraction:
-        n = len(matrix)
-        v = [Fraction(1)] * n
-        best: Fraction | None = None
-        prev: Fraction | None = None
-        for it in range(max_iter):
-            w = [sum(matrix[i][j] * v[j] for j in range(n)) for i in range(n)]
-            if any(x <= 0 for x in w):
+    def cw(matrix: list[list[Fraction]], sign: int) -> Fraction:
+        """The upper bound (max_i) for sign 1, the lower one (min_i) for -1."""
+        den = math.lcm(*(x.denominator for row in matrix for x in row))
+        scaled = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+        k = [1] * len(scaled)
+        best = prev = None             # bounds as pairs (numerator, denominator)
+        for _ in range(20000):
+            w = [sum(map(mul, row, k)) for row in scaled]
+            if min(w) <= 0:
                 raise NonConvergence("iteration left the positive cone")
-            quotients = [w[i] / v[i] for i in range(n)]
-            bound = max(quotients) if want_upper else min(quotients)
-            if best is None:
-                best = bound
-            else:
-                best = min(best, bound) if want_upper else max(best, bound)
-            if prev is not None and abs(bound - prev) < tol:
-                return best
-            prev = bound
-            scale = max(w)
-            v = [Fraction(math.floor(x / scale * (1 << bits)), 1 << bits) or Fraction(1, 1 << bits)
-                 for x in w]
-        raise NonConvergence(f"Collatz-Wielandt bounds did not settle in {max_iter} iterations")
+            i = 0
+            for j in range(1, len(w)):
+                if sign * (w[j] * k[i] - w[i] * k[j]) > 0:
+                    i = j
+            num, dnm = w[i], den * k[i]
+            if best is None or sign * (num * best[1] - best[0] * dnm) < 0:
+                best = (num, dnm)
+            if prev is not None and abs(num * prev[1] - prev[0] * dnm) * 10 ** 8 < dnm * prev[1]:
+                return Fraction(*best)
+            prev = (num, dnm)
+            top = max(w)
+            k = [(x << 192) // top or 1 for x in w]
+        raise NonConvergence("Collatz-Wielandt bounds did not settle in 20000 iterations")
 
-    lower = cw(lo_matrix, want_upper=False)
-    upper = cw(hi_matrix, want_upper=True)
+    lower = cw([[max(e.lo, 0) for e in row] for row in m.entries], -1)
+    upper = cw([[max(e.hi, 0) for e in row] for row in m.entries], 1)
     if lower > upper:
         raise NonConvergence("bracket inverted; entry intervals inconsistent")
     return Interval(lower, upper)
@@ -566,10 +564,10 @@ def hull_slot_factor(crit: CriticalData, z2: Interval, zm: Interval) -> Interval
     return crit.t_nu * z2.max(zm)
 
 
-def hull_constant_closed_form(bits: int = 96) -> Interval:
+def hull_constant_closed_form() -> Interval:
     """(131/600)(4 - sqrt7) / (50 sqrt7 - 110)^(1/3) as an interval."""
-    num = scalar_to_float(QuadExt(Fraction(4), Fraction(-1)), bits) * Fraction(131, 600)
-    den = cbrt_interval(scalar_to_float(QuadExt(Fraction(-110), Fraction(50)), bits), bits)
+    num = scalar_to_float(QuadExt(Fraction(4), Fraction(-1)), _BITS) * Fraction(131, 600)
+    den = cbrt_interval(scalar_to_float(QuadExt(Fraction(-110), Fraction(50)), _BITS), _BITS)
     return num / den
 
 

@@ -156,6 +156,31 @@ def test_oracle_output_hash_pinned(args, result_hash):
     assert out["manifest"]["output_hashes"]["result"] == result_hash
 
 
+@pytest.mark.parametrize("args, result_hash", [
+    # root isolation and the choice by the ratio estimate, on both branches
+    (("critical", "--nu", "2"),
+     "5933522e69355755657ca20f64e01188c85446741bd23cf47c75c5c713f6e938"),
+    (("critical", "--nu", "1/2"),
+     "4cb1f33414e24d603e480eb6824df064f5a57b48642b78cab97d67d6b7fa5342"),
+    (("spectral", "--nu", "2", "--order", "40"),
+     "a09cd8c48e20130b566e3c75618dc9388d07dd828d1d7ac8f2ae4959ad7d85b8"),
+    (("asymp", "--nu", "1", "--target", "sphere", "--order", "60"),
+     "92aad23d5204e8dbf25a7297a2b5e320ad2260774b1accf9abd5fbbf288de171"),
+], ids=["critical-2", "critical-1/2", "spectral-2-40", "asymp-sphere-1-60"])
+def test_criticality_output_hash_pinned(args, result_hash):
+    proc = run_cli(*args)
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["manifest"]["output_hashes"]["result"] == result_hash
+
+
+def test_critical_rejects_a_nonpositive_width():
+    proc = run_cli("critical", "--nu", "2", "--width", "0")
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": "width must be positive, got 0"}
+
+
 def test_sample_exact_output_hash_pinned():
     proc = run_cli("sample", "exact", "--nu", "2", "--n", "5", "--reps", "20", "--seed", "7")
     assert proc.returncode == 0

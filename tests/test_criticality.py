@@ -2,12 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from criticality_spec import perron_bracket, series_at
 from isingtri.criticality import (
     AsymptoticFit,
     InsufficientOrder,
+    MeanMatrix,
     NegativeEntry,
+    NonConvergence,
     _tail_sum,
+    boundary_at_tnu,
     critical_point,
     decay_exponent,
     estimate_asymptotics,
@@ -21,6 +26,7 @@ from isingtri.criticality import (
     spectral_radius,
 )
 from isingtri.exactnum import NU_C, RHO_NU_C, Y_C, Interval, scalar_to_float
+from isingtri.partition import WordTable
 from isingtri.series import TSeries
 
 
@@ -88,6 +94,29 @@ def test_eval_geometric_regime_matches_partial_sums():
     for k, c in sorted(s.coeffs.items()):
         plain = (plain + scalar_to_float(c, 96) * t_half.powi(k)).rounded(96)
     assert with_tail.lo <= plain.hi and plain.lo <= with_tail.hi
+
+
+@pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(2), NU_C], ids=["1/2", "2", "nu_c"])
+def test_eval_matches_the_per_term_powers(nu):
+    # the running power t^k gives the same exact interval as t.powi(k) for t >= 0
+    crit = critical_point(nu)
+    words = WordTable(nu, 31)
+    for word in ("+", "++", "+-"):
+        s = words.series(word).with_order(30)
+        got = eval_at_tnu(s, crit)
+        ref = series_at(s, crit.t_nu, crit.alpha)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
+
+
+def test_eval_below_three_support_points_is_the_rounded_partial_sum():
+    s = TSeries(Fraction(2), 10, {1: Fraction(2), 4: Fraction(1, 3)})
+    t = scalar_to_float(Fraction(1, 20), 96)
+    got = eval_series_interval(s, t, Fraction(5, 2))
+    ref = series_at(s, t, Fraction(5, 2))
+    assert (got.lo, got.hi) == (ref.lo, ref.hi)
+    plain = ((scalar_to_float(Fraction(2), 96) * t).rounded(96)
+             + scalar_to_float(Fraction(1, 3), 96) * t.powi(4)).rounded(96)
+    assert (got.lo, got.hi) == (plain.lo, plain.hi)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(5, 2), Fraction(7, 3)])
@@ -172,33 +201,65 @@ def test_mean_matrix_negative_entry():
 
 
 def _const_matrix(entries):
-    crit = _dummy_crit()
-    m = mean_matrix(crit, Interval(Fraction(26, 100)), Interval(Fraction(45, 100)),
-                    Interval(Fraction(29, 100)))
-    m.entries = [[Interval(Fraction(x)) for x in row] for row in entries]
-    return m
+    return MeanMatrix(NU_C, [[Interval(Fraction(x)) for x in row] for row in entries])
+
+
+_U, _V = [1, 2, 3, 4, 5], [5, 4, 3, 2, 1]
+_CONST_MATRICES = {
+    "identity": [[1 if i == j else 0 for j in range(5)] for i in range(5)],
+    "rank-one": [[ui * vj for vj in _V] for ui in _U],
+    "banded": [[Fraction(1, 2) if abs(i - j) <= 1 else Fraction(1, 10) for j in range(5)]
+               for i in range(5)],
+}
 
 
 def test_spectral_radius_identity():
-    m = _const_matrix([[1 if i == j else 0 for j in range(5)] for i in range(5)])
-    r = spectral_radius(m)
+    r = spectral_radius(_const_matrix(_CONST_MATRICES["identity"]))
     assert r.contains(1) and r.width < Fraction(1, 10 ** 6)
 
 
 def test_spectral_radius_rank_one():
-    u = [1, 2, 3, 4, 5]
-    v = [5, 4, 3, 2, 1]
-    m = _const_matrix([[ui * vj for vj in v] for ui in u])
-    r = spectral_radius(m)
-    dot = sum(a * b for a, b in zip(u, v))
+    r = spectral_radius(_const_matrix(_CONST_MATRICES["rank-one"]))
+    dot = sum(a * b for a, b in zip(_U, _V))
     assert r.contains(dot)
 
 
 def test_collatz_wielandt_sandwich():
-    m = _const_matrix([[Fraction(1, 2) if abs(i - j) <= 1 else Fraction(1, 10)
-                        for j in range(5)] for i in range(5)])
-    r = spectral_radius(m)
+    r = spectral_radius(_const_matrix(_CONST_MATRICES["banded"]))
     assert r.lo <= r.hi
+
+
+@pytest.mark.parametrize("name", list(_CONST_MATRICES))
+def test_spectral_radius_matches_the_fraction_iteration(name):
+    m = _const_matrix(_CONST_MATRICES[name])
+    r, ref = spectral_radius(m), perron_bracket(m.entries)
+    assert (r.lo, r.hi) == (ref.lo, ref.hi)
+
+
+def test_spectral_radius_at_nu_c_matches_the_fraction_iteration():
+    crit = critical_point(NU_C)
+    m = mean_matrix(crit, *boundary_at_tnu(WordTable(NU_C, 31), crit, 30))
+    r, ref = spectral_radius(m), perron_bracket(m.entries)
+    assert (r.lo, r.hi) == (ref.lo, ref.hi)
+    assert r.hi < 1
+
+
+_ENTRY = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.tuples(_ENTRY, _ENTRY), min_size=5, max_size=5),
+                min_size=5, max_size=5))
+def test_spectral_radius_matches_on_random_positive_matrices(rows):
+    m = MeanMatrix(NU_C, [[Interval(min(a, b), max(a, b)) for a, b in row] for row in rows])
+    r, ref = spectral_radius(m), perron_bracket(m.entries)
+    assert (r.lo, r.hi) == (ref.lo, ref.hi)
+
+
+def test_spectral_radius_zero_row_leaves_the_positive_cone():
+    m = _const_matrix([[0] * 5] + [[1] * 5] * 4)
+    with pytest.raises(NonConvergence, match="left the positive cone"):
+        spectral_radius(m)
 
 
 def test_hull_constant():
