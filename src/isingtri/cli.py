@@ -1,10 +1,11 @@
 """Command-line surface: every subsystem behind one binary with JSON output.
 
 Each invocation emits a run manifest next to its results: the subcommand, the
-full parameter set, library version, seeds, wall-clock time, peak resident
-memory and a sha256 of the canonically serialized result payload.  Re-running
-the same command reproduces the result hash bit for bit (samplers included: all
-randomness is seed-derived).
+full parameter set (every parsed option but the output paths, so each
+`sample` mode records just the flags it takes), library version, seeds,
+wall-clock time, peak resident memory and a sha256 of the canonically
+serialized result payload.  Re-running the same command reproduces the result
+hash bit for bit (samplers included: all randomness is seed-derived).
 
 Every subcommand reaches the engine layers through their module objects,
 which `isingtri/__init__.py` registers to load on first use, so a command
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import resource
 import sys
 import time
@@ -31,6 +33,9 @@ TARGETS = {
     "oracle": "sphere | word:<+->... | q:<p>",
     "asymp": "sphere | word:<+->...",
 }
+# the parsed arguments that are not parameters of the result: the parser's
+# own keys, the clock and the output destinations
+_NOT_PARAMS = ("cmd", "func", "t0", "output", "output_dir")
 
 
 def _canonical_json(payload) -> str:
@@ -52,22 +57,20 @@ def _peak_rss_mb() -> float:
     return round(kb / 1024, 2)
 
 
-def _emit(args, subcommand: str, params: dict, result, t0: float, seeds=None,
-          extra: dict | None = None) -> None:
+def _emit(args, result, seeds=None, extra: dict | None = None) -> None:
     manifest = {
-        "subcommand": subcommand,
-        "params": params,
+        "subcommand": args.cmd,
+        "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
         "version": __version__,
         "seeds": seeds,
         "rng_algorithm": sampler.RNG_ALGORITHM if seeds else None,
-        "wallclock_s": round(time.time() - t0, 3),
+        "wallclock_s": round(time.time() - args.t0, 3),
         "peak_rss_mb": _peak_rss_mb(),
         "output_hashes": {"result": _result_hash(result)},
         **(extra or {}),
     }
-    out = getattr(args, "output", None)
-    if out:
-        path = Path(out)
+    if args.output:
+        path = Path(args.output)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(result, indent=2) + "\n")
         Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -80,11 +83,29 @@ def _interval_json(iv: exactnum.Interval) -> list:
     return [lo, hi]
 
 
-def _unknown_target(cmd: str, target: str) -> SystemExit:
-    """Exit 2, as argparse does for a bad argument, naming the accepted forms."""
-    print(f"isingtri {cmd}: error: unknown --target {target!r} (accepted: {TARGETS[cmd]})",
-          file=sys.stderr)
+def _usage_error(cmd: str, message: str) -> SystemExit:
+    """Exit 2, as argparse does for a bad argument."""
+    print(f"isingtri {cmd}: error: {message}", file=sys.stderr)
     return SystemExit(2)
+
+
+def _parse_target(args) -> tuple[str, str | int | None]:
+    """`--target` as (kind, argument): none for sphere and U, the normalized
+    nonempty word for word:<w>, the integer for zplus:<p> and q:<p>.  Exit 2 on
+    any other form and on a kind the subcommand does not accept."""
+    kind, colon, arg = args.target.partition(":")
+    if kind in (form.partition(":")[0] for form in TARGETS[args.cmd].split(" | ")):
+        if kind in ("sphere", "U") and not colon:
+            return kind, None
+        if kind == "word" and arg:
+            try:
+                return kind, maps.normalize_word(arg)
+            except ValueError:
+                pass
+        if kind in ("zplus", "q") and re.fullmatch(r"-?[0-9]+", arg):
+            return kind, int(arg)
+    raise _usage_error(args.cmd, f"unknown --target {args.target!r} "
+                                 f"(accepted: {TARGETS[args.cmd]})")
 
 
 def _series_csv(series) -> str:
@@ -101,65 +122,55 @@ def _series_csv(series) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_coeffs(args) -> int:
-    t0 = time.time()
+    kind, arg = _parse_target(args)
     nu = exactnum.parse_scalar(args.nu)
     order = args.order
-    target = args.target
-    if target == "sphere":
+    if kind == "sphere":
         series = partition.sphere_series(nu, order)
-    elif target == "U":
+    elif kind == "U":
         series = partition.solve_U(nu, order)
-    elif target.startswith("word:"):
-        word = maps.normalize_word(target[5:])
-        series = partition.WordTable(nu, order).series(word)
-    elif target.startswith("zplus:"):
-        p = int(target[6:])
-        series = partition.zplus_recursion(p, nu, order, partition.WordTable(nu, order + p))
+    elif kind == "word":
+        series = partition.WordTable(nu, order).series(arg)
     else:
-        raise _unknown_target("coeffs", target)
+        series = partition.zplus_recursion(arg, nu, order, partition.WordTable(nu, order + arg))
     if args.out == "csv":
-        result = {"format": "csv", "target": target, "csv": _series_csv(series)}
+        result = {"format": "csv", "target": args.target, "csv": _series_csv(series)}
     else:
-        result = {"format": "json", "target": target, "series": series.to_json()}
-    _emit(args, "coeffs", {"nu": args.nu, "target": target, "order": order,
-                           "out": args.out}, result, t0)
+        result = {"format": "json", "target": args.target, "series": series.to_json()}
+    _emit(args, result)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    t0 = time.time()
+    kind, arg = _parse_target(args)
+    if kind == "q" and args.dump_maps:
+        raise _usage_error(args.cmd, "--dump-maps lists the maps of a sphere or word: target")
     nu = exactnum.parse_scalar(args.nu)
     order = args.order
-    target = args.target
-    cap = maps.DEFAULT_CAP if args.cap is None else args.cap
+    cap = args.cap = maps.DEFAULT_CAP if args.cap is None else args.cap   # recorded resolved
     dump = []
-    if target == "sphere":
+    if kind == "sphere":
         series = maps.oracle_sphere(nu, order, cap=cap)
         if args.dump_maps:
             for n in range(3, order + 1, 3):
                 dump += [m.to_text() for m in maps.enumerate_maps(n, "sphere", cap=cap)]
-    elif target.startswith("q:"):
-        series = maps.oracle_Q(int(target[2:]), nu, order, cap=cap)
-    elif target.startswith("word:"):
-        word = maps.normalize_word(target[5:])
-        series = maps.oracle_series(word, nu, order, cap=cap)
+    elif kind == "q":
+        series = maps.oracle_Q(arg, nu, order, cap=cap)
+    else:
+        series = maps.oracle_series(arg, nu, order, cap=cap)
         if args.dump_maps:
-            p = len(word)
+            p = len(arg)
             for n in range(1, order + 1):
                 if (2 * n - p) % 3 == 0:
                     dump += [m.to_text() for m in maps.enumerate_maps(n, "pgon", p, cap=cap)]
-    else:
-        raise _unknown_target("oracle", target)
-    result = {"target": target, "series": series.to_json()}
+    result = {"target": args.target, "series": series.to_json()}
     if args.dump_maps:
         result["maps"] = dump
-    _emit(args, "oracle", {"nu": args.nu, "target": target, "order": order,
-                           "cap": cap, "dump_maps": args.dump_maps}, result, t0)
+    _emit(args, result)
     return 0
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
     nu = exactnum.parse_scalar(args.nu)
     order = args.order
     words = partition.WordTable(nu, order + 2)
@@ -180,22 +191,18 @@ def cmd_verify(args) -> int:
         "oracle_equivalence_ok": oracle_ok,
         "all_ok": all_ok,
     }
-    _emit(args, "verify", {"nu": args.nu, "order": order}, result, t0)
+    _emit(args, result)
     return 0 if all_ok else 1
 
 
 def cmd_critical(args) -> int:
-    t0 = time.time()
     nu = exactnum.parse_scalar(args.nu)
-    width = Fraction(args.width) if "/" in args.width else Fraction(float(args.width)).limit_denominator(10 ** 40)
-    crit = criticality.critical_point(nu, width)
-    result = crit.to_json()
-    _emit(args, "critical", {"nu": args.nu, "width": args.width}, result, t0)
+    crit = criticality.critical_point(nu, Fraction(args.width))
+    _emit(args, crit.to_json())
     return 0
 
 
 def cmd_spectral(args) -> int:
-    t0 = time.time()
     nu = exactnum.parse_scalar(args.nu)
     order = args.order
     crit = criticality.critical_point(nu)
@@ -209,59 +216,43 @@ def cmd_spectral(args) -> int:
         "inputs": {"Z_+": _interval_json(z1), "Z_++": _interval_json(z2),
                    "Z_+-": _interval_json(zm), "t_nu": _interval_json(crit.t_nu)},
     }
-    _emit(args, "spectral", {"nu": args.nu, "order": order}, result, t0)
+    _emit(args, result)
     return 0
 
 
 def cmd_asymp(args) -> int:
-    t0 = time.time()
+    kind, arg = _parse_target(args)
     nu = exactnum.parse_scalar(args.nu)
     order = args.order
-    target = args.target
-    if target == "sphere":
+    if kind == "sphere":
         series = partition.sphere_series(nu, order)
-    elif target.startswith("word:"):
-        word = maps.normalize_word(target[5:])
-        series = partition.WordTable(nu, order).series(word)
     else:
-        raise _unknown_target("asymp", target)
+        series = partition.WordTable(nu, order).series(arg)
     crit = criticality.critical_point(nu)
     fit = criticality.estimate_asymptotics(series, crit)
-    result = {"target": target, "fit": fit.to_json(), "regime": crit.regime}
-    _emit(args, "asymp", {"nu": args.nu, "target": target, "order": order}, result, t0)
+    _emit(args, {"target": args.target, "fit": fit.to_json(), "regime": crit.regime})
     return 0
 
 
 def cmd_sample(args) -> int:
-    t0 = time.time()
     nu = exactnum.parse_scalar(args.nu)
     seeds = [sampler.derive_seed(args.seed, i) for i in range(args.reps)]
-    samples = []
-    drawn = []
     extra = None
     if args.mode == "exact":
         ctx = sampler.ExactSamplerContext(nu, 3 * args.n + 1)
-        for i in range(args.reps):
-            m = sampler.exact_sample(nu, args.n, seed=seeds[i], ctx=ctx)
-            drawn.append(m)
+        drawn = [sampler.exact_sample(nu, args.n, seed=s, ctx=ctx) for s in seeds]
     elif args.mode == "mcmc":
-        for i in range(args.reps):
-            m = sampler.mcmc_sample(nu, args.n, args.steps, seed=seeds[i])
-            drawn.append(m)
-    elif args.mode == "boltzmann":
+        drawn = [sampler.mcmc_sample(nu, args.n, args.steps, seed=s) for s in seeds]
+    else:
         # t_nu is known as an enclosure: draw at its lower end, never above t_nu
         t = (criticality.critical_point(nu).t_nu.lo if args.t == "t_nu"
              else exactnum.parse_scalar(args.t))
         bctx = sampler.BoltzmannContext(nu, t, series_order=args.series_order)
         word = maps.normalize_word(args.word)
-        for i in range(args.reps):
-            drawn.append(sampler.boltzmann_sample(word, nu, bctx, seed=seeds[i]))
+        drawn = [sampler.boltzmann_sample(word, nu, bctx, seed=s) for s in seeds]
         extra = {"truncation": _truncated_mass(bctx, word)}
-    else:
-        raise SystemExit(2)
-    for m, s in zip(drawn, seeds):
-        samples.append({"seed": s, "map": m.to_text(), "edges": m.n_edges,
-                        "mono": m.monochromatic_count()})
+    samples = [{"seed": s, "map": m.to_text(), "edges": m.n_edges,
+                "mono": m.monochromatic_count()} for m, s in zip(drawn, seeds)]
     stats = sampler.collect_stats(drawn, r_max=args.r_max,
                                   meta={"mode": args.mode, "nu": args.nu, "seed": args.seed,
                                         "rng": sampler.RNG_ALGORITHM})
@@ -272,10 +263,7 @@ def cmd_sample(args) -> int:
         for i, rec in enumerate(samples):
             (outdir / f"sample_{i:05d}.json").write_text(json.dumps(rec, indent=2) + "\n")
         (outdir / "stats.json").write_text(json.dumps(stats.to_json(), indent=2) + "\n")
-    _emit(args, "sample", {"mode": args.mode, "nu": args.nu, "n": args.n,
-                           "steps": args.steps, "t": args.t, "word": args.word,
-                           "seed": args.seed, "reps": args.reps}, result, t0,
-          seeds=seeds, extra=extra)
+    _emit(args, result, seeds=seeds, extra=extra)
     return 0
 
 
@@ -294,22 +282,19 @@ def _truncated_mass(bctx: sampler.BoltzmannContext, word: str) -> dict:
 
 
 def cmd_stats(args) -> int:
-    t0 = time.time()
     indir = Path(args.input_dir)
     stored = []
     for path in sorted(indir.glob("sample_*.json")):
         rec = json.loads(path.read_text())
         stored.append(maps.CombMap.from_text(rec["map"]))
     stats = sampler.collect_stats(stored, r_max=args.r_max)
-    result = stats.to_json()
-    _emit(args, "stats", {"input_dir": args.input_dir, "r_max": args.r_max}, result, t0)
+    _emit(args, stats.to_json())
     return 0
 
 
 def cmd_report(args) -> int:
     from .acceptance import run_acceptance
 
-    t0 = time.time()
     which = [int(x) for x in args.criteria.split(",")] if args.criteria else None
     results = run_acceptance(which, quick=args.quick)
     result = {
@@ -321,7 +306,7 @@ def cmd_report(args) -> int:
         lines.append(f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.cid}: {r.name} "
                      f"({r.runtime_s:.1f}s)")
     result["text"] = "\n".join(lines)
-    _emit(args, "report", {"criteria": args.criteria, "quick": args.quick}, result, t0)
+    _emit(args, result)
     print("\n" + result["text"], file=sys.stderr)
     return 0 if result["all_passed"] else 1
 
@@ -380,18 +365,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asymp)
 
     p = sub.add_parser("sample", help="random generation")
-    p.add_argument("mode", choices=("exact", "mcmc", "boltzmann"))
-    p.add_argument("--nu", required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--steps", type=int, default=100000)
-    p.add_argument("--t", default="t_nu")
-    p.add_argument("--word", default="++")
-    p.add_argument("--series-order", type=int, default=30)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--r-max", type=int, default=4)
-    p.add_argument("--out", dest="output_dir", help="directory for per-sample JSON")
-    common(p)
+    modes = p.add_subparsers(dest="mode", required=True)
+    for mode in ("exact", "mcmc", "boltzmann"):
+        # each mode takes only the flags it reads, and no abbreviation: in a
+        # mode without --n, --n must not stand for --nu
+        m = modes.add_parser(mode, allow_abbrev=False)
+        m.add_argument("--nu", required=True)
+        if mode != "boltzmann":
+            m.add_argument("--n", type=int, default=1)
+        if mode == "mcmc":
+            m.add_argument("--steps", type=int, default=100000)
+        if mode == "boltzmann":
+            m.add_argument("--t", default="t_nu")
+            m.add_argument("--word", default="++")
+            m.add_argument("--series-order", type=int, default=30)
+        m.add_argument("--seed", type=int, required=True)
+        m.add_argument("--reps", type=int, default=1)
+        m.add_argument("--r-max", type=int, default=4)
+        m.add_argument("--out", dest="output_dir", help="directory for per-sample JSON")
+        common(m)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("stats", help="recompute statistics from stored samples")
@@ -411,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.t0 = time.time()
     try:
         return args.func(args)
     # the failures the commands raise (NotImplementedError is a RuntimeError):

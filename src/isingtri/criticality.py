@@ -221,7 +221,12 @@ def critical_point(nu: Scalar, width: Fraction = Fraction(1, 10 ** 30)) -> Criti
         raise ValueError("nu must be positive")
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
-    bits = max(32, int(-math.log2(float(width))) + 8)
+    # floor(log2(1/width)) exactly: 1/width is in (2^(k-1), 2^(k+1)), and k < 25 gives 32
+    num, den = width.numerator, width.denominator
+    k = den.bit_length() - num.bit_length()
+    if k > 0 and den < num << k:
+        k -= 1
+    bits = max(32, k + 8)
 
     if nu == NU_C:
         rho = RHO_NU_C

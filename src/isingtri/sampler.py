@@ -502,6 +502,8 @@ def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int,
     if n < 1:
         raise ValueError("a sphere triangulation has 3n >= 3 edges")
     m, d = _integer_weight(as_scalar(nu))
+    if sign_sqrt7(*m) <= 0:         # on the integers: no Q(sqrt7) arithmetic
+        raise ValueError("nu must be positive")
     den = (d, 0)
     powers = [((1, 0), (1, 0)), (m, den)]       # (m^D, den^D), grown on demand
     rng = random.Random(derive_seed(seed, "mcmc"))

@@ -1,8 +1,11 @@
 import importlib.util
 import json
+import runpy
+import shlex
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ except ImportError:                 # pragma: no cover
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "isingtri" / "schemas"
 PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args):
@@ -73,14 +77,108 @@ def test_unknown_flag_exits_2():
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("command", [
-    ("coeffs", "--order", "5"), ("oracle", "--order", "5"), ("asymp",),
-], ids=["coeffs", "oracle", "asymp"])
-def test_unknown_target_exits_2_and_names_the_forms(command):
-    proc = run_cli(*command, "--nu", "2", "--target", "foo")
+@pytest.mark.parametrize("command, target", [
+    (("coeffs", "--order", "5"), "foo"), (("oracle", "--order", "5"), "foo"), (("asymp",), "foo"),
+    (("coeffs", "--order", "5"), "word:"), (("oracle", "--order", "5"), "word:+x"),
+    (("coeffs", "--order", "5"), "zplus:x"), (("oracle", "--order", "5"), "q:"),
+    (("asymp",), "U"), (("oracle", "--order", "5"), "zplus:4"), (("coeffs", "--order", "5"), "sphere:"),
+], ids=["coeffs", "oracle", "asymp", "empty-word", "bad-letter", "zplus-not-int", "q-empty",
+        "asymp-U", "oracle-zplus", "sphere-colon"])
+def test_unknown_target_exits_2_and_names_the_forms(command, target):
+    proc = run_cli(*command, "--nu", "2", "--target", target)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "'foo'" in proc.stderr and "sphere | word:<+->..." in proc.stderr
+    assert repr(target) in proc.stderr and "sphere | word:<+->..." in proc.stderr
+
+
+def test_parse_target_reads_each_kind():
+    from argparse import Namespace
+
+    from isingtri.cli import _parse_target
+    for cmd, target, parsed in [("coeffs", "sphere", ("sphere", None)), ("coeffs", "U", ("U", None)),
+                                ("asymp", "word:⊕⊖+", ("word", "+-+")),
+                                ("coeffs", "zplus:6", ("zplus", 6)), ("oracle", "q:-1", ("q", -1))]:
+        assert _parse_target(Namespace(cmd=cmd, target=target)) == parsed
+
+
+def test_a_target_outside_its_engine_domain_exits_1():
+    # the grammar accepts zplus:<int>; the engine rejects p < 3 by name
+    proc = run_cli("coeffs", "--nu", "2", "--target", "zplus:2", "--order", "5")
+    assert proc.returncode == 1
+    assert "recursion applies to p >= 3" in json.loads(proc.stderr.strip().splitlines()[-1])["message"]
+
+
+@pytest.mark.parametrize("args", [
+    ("sample", "exact", "--nu", "2", "--steps", "5", "--seed", "1"),
+    ("sample", "mcmc", "--nu", "2", "--word", "+", "--seed", "1"),
+    # not an abbreviation of --nu: that would run at nu = 3
+    ("sample", "boltzmann", "--nu", "2", "--n", "3", "--seed", "1"),
+    ("oracle", "--nu", "2", "--target", "q:2", "--order", "5", "--dump-maps"),
+], ids=["exact-steps", "mcmc-word", "boltzmann-n", "oracle-q-dump-maps"])
+def test_a_flag_the_command_would_not_read_exits_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+def _readme_commands():
+    return [shlex.split(line, comments=True)[1:] for line in README.read_text().splitlines()
+            if line.startswith("isingtri ")]
+
+
+def _workload_commands():
+    workloads = runpy.run_path(str(PERFBENCH_DIR / "workloads.py"))["WORKLOADS"]
+    return [list(cmd.argv) for make in workloads.values() for cmd in make(1, "scratch")]
+
+
+def test_documented_and_benchmarked_commands_parse():
+    # a benchmark command the parser refuses shows up only as a failed run
+    from isingtri.cli import build_parser
+    readme, bench = _readme_commands(), _workload_commands()
+    assert len(readme) >= 15 and len(bench) >= 15
+    for argv in readme + bench:
+        args = build_parser().parse_args(argv)
+        assert args.cmd == argv[0]
+
+
+@pytest.mark.parametrize("args, params", [
+    (("exact", "--nu", "2", "--n", "2", "--reps", "3", "--seed", "5"),
+     {"mode": "exact", "nu": "2", "n": 2, "seed": 5, "reps": 3, "r_max": 4}),
+    (("mcmc", "--nu", "2", "--n", "2", "--steps", "20", "--seed", "5", "--r-max", "2"),
+     {"mode": "mcmc", "nu": "2", "n": 2, "steps": 20, "seed": 5, "reps": 1, "r_max": 2}),
+    (("boltzmann", "--nu", "2", "--t", "1/20", "--series-order", "7", "--seed", "5"),
+     {"mode": "boltzmann", "nu": "2", "t": "1/20", "word": "++", "series_order": 7, "seed": 5,
+      "reps": 1, "r_max": 4}),
+], ids=["exact", "mcmc", "boltzmann"])
+def test_sample_params_are_the_flags_the_mode_reads(args, params, tmp_path):
+    # where the result is written is not a parameter of it
+    out = tmp_path / "batch.json"
+    proc = run_cli("sample", *args, "--out", str(tmp_path / "runs"), "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["subcommand"] == "sample"
+    assert manifest["params"] == params
+
+
+def test_runs_differing_in_r_max_differ_in_params():
+    manifests = [json.loads(run_cli("sample", "exact", "--nu", "2", "--n", "2", "--reps", "3",
+                                    "--seed", "5", "--r-max", r_max).stdout)["manifest"]
+                 for r_max in ("4", "6")]
+    assert [m["params"]["r_max"] for m in manifests] == [4, 6]
+    assert manifests[0]["output_hashes"] != manifests[1]["output_hashes"]
+
+
+@pytest.mark.parametrize("args, params", [
+    (("oracle", "--nu", "2", "--target", "sphere", "--order", "3"),
+     {"nu": "2", "target": "sphere", "order": 3, "cap": 9, "dump_maps": False}),
+    (("critical", "--nu", "2"), {"nu": "2", "width": "1/1" + "0" * 30}),
+    (("coeffs", "--nu", "2", "--target", "U", "--order", "3"),
+     {"nu": "2", "target": "U", "order": 3, "out": "json"}),
+], ids=["oracle", "critical", "coeffs"])
+def test_params_are_the_parsed_options(args, params):
+    manifest = json.loads(run_cli(*args).stdout)["manifest"]
+    assert manifest["subcommand"] == args[0]
+    assert manifest["params"] == params
 
 
 def test_bad_input_structured_error():
@@ -179,6 +277,14 @@ def test_critical_rejects_a_nonpositive_width():
     assert proc.returncode == 1
     err = json.loads(proc.stderr.strip().splitlines()[-1])
     assert err == {"error": "ValueError", "message": "width must be positive, got 0"}
+
+
+@pytest.mark.parametrize("width", ["1/1" + "0" * 400, "1e-300"], ids=["1/10^400", "1e-300"])
+def test_critical_takes_a_width_below_the_smallest_double(width):
+    proc = run_cli("critical", "--nu", "2", "--width", width)
+    assert proc.returncode == 0, proc.stderr
+    lo, hi = (Fraction(x) for x in json.loads(proc.stdout)["result"]["rho"])
+    assert 0 <= hi - lo <= Fraction(width)
 
 
 def test_sample_exact_output_hash_pinned():

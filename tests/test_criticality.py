@@ -68,6 +68,23 @@ def test_regimes_and_monotone_rho():
     assert rhos[Fraction(1, 2)] > rhos[Fraction(1)] > rhos[Fraction(2)]
 
 
+@pytest.mark.parametrize("nu, chosen, other", [
+    (Fraction(37, 10), 8.695e-4, 3.575e-4),
+    (Fraction(4), 6.934e-4, 1.328e-3),
+], ids=["37/10", "4"])
+def test_critical_point_picks_one_of_two_positive_P1_roots(nu, chosen, other):
+    # above nu = 1 + 3 sqrt(3)/2 the coefficient signs of P1 are (+, -, +-, +), so
+    # it has two positive roots; the ratio estimate picks the larger at 37/10 and
+    # the smaller at 4, which no "least positive root" rule gives at both
+    crit = critical_point(nu)
+    assert crit.regime == "supercritical_P1"
+    assert p1_poly(nu, crit.rho.lo) * p1_poly(nu, crit.rho.hi) <= 0
+    assert float(crit.rho) == pytest.approx(chosen, rel=1e-3)
+    rho = Fraction(other)
+    assert not crit.rho.contains(rho)
+    assert p1_poly(nu, rho * Fraction(999, 1000)) * p1_poly(nu, rho * Fraction(1001, 1000)) < 0
+
+
 def test_eval_zero_series():
     crit = critical_point(NU_C)
     z = TSeries.zero(NU_C, 50)

@@ -266,6 +266,13 @@ def test_samplers_reject_empty_sizes(sample):
             sample(n)
 
 
+@pytest.mark.parametrize("nu", [Fraction(0), Fraction(-1), 1 - NU_C])
+def test_mcmc_rejects_nonpositive_nu(nu):
+    # nu = 0 would run a chain on a degenerate law, and nu < 0 fail inside pick_weighted
+    with pytest.raises(ValueError, match="nu must be positive"):
+        mcmc_sample(nu, 2, 10, seed=1)
+
+
 def test_exact_sample_rejects_a_context_at_another_nu():
     ctx = ExactSamplerContext(NU, 4)
     with pytest.raises(ValueError):
