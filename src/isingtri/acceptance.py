@@ -57,8 +57,7 @@ class CriterionResult:
 class AcceptanceContext:
     """Caches for the expensive shared computations: word tables and critical data."""
 
-    def __init__(self, quick: bool = False):
-        self.quick = quick
+    def __init__(self):
         self._tables: dict = {}
         self._crits: dict = {}
 
@@ -165,14 +164,10 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
                            {"runs": runs}, time.time() - t0)
 
 
-def _nu_c_order(ctx: AcceptanceContext) -> int:
-    return 33 if ctx.quick else 46
-
-
 def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     """Spectral radius of the mean matrix at the critical weight."""
     t0 = time.time()
-    order = _nu_c_order(ctx)
+    order = 46
     crit = ctx.crit(NU_C)
     n_eval = order - 1
     z1, z2, zm = boundary_at_tnu(ctx.table(NU_C, order), crit, n_eval)
@@ -191,7 +186,7 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     """Hull slot factor ~ 0.105 and exactly below y_c."""
     t0 = time.time()
-    order = _nu_c_order(ctx)
+    order = 46
     crit = ctx.crit(NU_C)
     _, z2, zm = boundary_at_tnu(ctx.table(NU_C, order), crit, order - 1)
     slot = hull_slot_factor(crit, z2, zm)
@@ -218,8 +213,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     """Exponent estimates: 5/2 off criticality, 7/3 at criticality."""
     t0 = time.time()
-    n1 = 40 if ctx.quick else 61
-    nc = _nu_c_order(ctx)
+    n1, nc = 61, 46
     crit1 = ctx.crit(Fraction(1))
     critc = ctx.crit(NU_C)
     sph1 = sphere_series(Fraction(1), n1 - 1, ctx.table(Fraction(1), n1))
@@ -246,7 +240,7 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
     """Growth rate of the sphere series at nu = 1 within 1% of 1/rho."""
     t0 = time.time()
-    n1 = 40 if ctx.quick else 61
+    n1 = 61
     crit1 = ctx.crit(Fraction(1))
     sph1 = sphere_series(Fraction(1), n1 - 1, ctx.table(Fraction(1), n1))
     fit = estimate_asymptotics(sph1, crit1)
@@ -346,7 +340,7 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     """Sampler correctness: MCMC TV, exact-sampler chi-square, m bookkeeping."""
     t0 = time.time()
     nu = Fraction(2)
-    steps = 20_000 if ctx.quick else 120_000
+    steps = 120_000
     law1 = gibbs_law(nu, 1)
 
     raw: dict = {}
@@ -370,7 +364,7 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     tv = float(sum(abs(Fraction(counts.get(k, 0), n_obs) - p) for k, p in law1.items())) / 2
     tv += sum(v for k, v in counts.items() if k not in law1) / n_obs / 2
 
-    reps1 = 2000 if ctx.quick else 6000
+    reps1 = 6000
     ctx1 = ExactSamplerContext(nu, 4)
     c1: dict = {}
     for i in range(reps1):
@@ -379,7 +373,7 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     stat1, p1, dof1 = chi2_test(c1, law1, reps1)
 
     law2 = gibbs_law(nu, 2)
-    reps2 = 1500 if ctx.quick else 4000
+    reps2 = 4000
     ctx2 = ExactSamplerContext(nu, 7)
     c2: dict = {}
     for i in range(reps2):
@@ -433,9 +427,8 @@ CRITERIA = {
 }
 
 
-def run_acceptance(which: list[int] | None = None, quick: bool = False,
-                   ctx: AcceptanceContext | None = None) -> list[CriterionResult]:
-    ctx = ctx or AcceptanceContext(quick=quick)
+def run_acceptance(which: list[int] | None = None) -> list[CriterionResult]:
+    ctx = AcceptanceContext()
     out = []
     for cid in sorted(which or CRITERIA):
         out.append(CRITERIA[cid](ctx))

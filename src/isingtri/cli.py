@@ -102,10 +102,32 @@ def _parse_target(args) -> tuple[str, str | int | None]:
                 return kind, maps.normalize_word(arg)
             except ValueError:
                 pass
-        if kind in ("zplus", "q") and re.fullmatch(r"-?[0-9]+", arg):
+        if kind in ("zplus", "q") and re.fullmatch(r"[0-9]+", arg):
             return kind, int(arg)
     raise _usage_error(args.cmd, f"unknown --target {args.target!r} "
                                  f"(accepted: {TARGETS[args.cmd]})")
+
+
+def _count(text: str) -> int:
+    """The argparse type of a count option: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _criterion_ids(text: str) -> list[int]:
+    """The argparse type of `report --criteria`: comma-separated criterion ids."""
+    from .acceptance import CRITERIA
+
+    ids = text.split(",")
+    if not all(re.fullmatch(r"[0-9]+", x) and int(x) in CRITERIA for x in ids):
+        raise argparse.ArgumentTypeError(f"expected comma-separated ids "
+                                         f"{min(CRITERIA)}-{max(CRITERIA)}, got {text!r}")
+    return [int(x) for x in ids]
 
 
 def _series_csv(series) -> str:
@@ -282,11 +304,10 @@ def _truncated_mass(bctx: sampler.BoltzmannContext, word: str) -> dict:
 
 
 def cmd_stats(args) -> int:
-    indir = Path(args.input_dir)
-    stored = []
-    for path in sorted(indir.glob("sample_*.json")):
-        rec = json.loads(path.read_text())
-        stored.append(maps.CombMap.from_text(rec["map"]))
+    paths = sorted(Path(args.input_dir).glob("sample_*.json"))
+    if not paths:
+        raise _usage_error(args.cmd, f"no sample_*.json in --in {args.input_dir!r}")
+    stored = [maps.CombMap.from_text(json.loads(path.read_text())["map"]) for path in paths]
     stats = sampler.collect_stats(stored, r_max=args.r_max)
     _emit(args, stats.to_json())
     return 0
@@ -295,8 +316,7 @@ def cmd_stats(args) -> int:
 def cmd_report(args) -> int:
     from .acceptance import run_acceptance
 
-    which = [int(x) for x in args.criteria.split(",")] if args.criteria else None
-    results = run_acceptance(which, quick=args.quick)
+    results = run_acceptance(args.criteria)
     result = {
         "criteria": [r.to_json() for r in results],
         "all_passed": all(r.passed for r in results),
@@ -325,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="coefficient tables from the series engines")
     p.add_argument("--nu", required=True)
     p.add_argument("--target", required=True, help=TARGETS["coeffs"])
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_count, required=True)
     p.add_argument("--out", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=cmd_coeffs)
@@ -333,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force coefficient tables")
     p.add_argument("--nu", required=True)
     p.add_argument("--target", required=True, help=TARGETS["oracle"])
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_count, required=True)
     p.add_argument("--cap", type=int)
     p.add_argument("--dump-maps", action="store_true")
     common(p)
@@ -341,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="identity suites; nonzero exit on failure")
     p.add_argument("--nu", required=True)
-    p.add_argument("--order", type=int, default=15)
+    p.add_argument("--order", type=_count, default=15)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -353,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="branching mean matrix and Perron root")
     p.add_argument("--nu", required=True)
-    p.add_argument("--order", type=int, default=46)
+    p.add_argument("--order", type=_count, default=46)
     common(p)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("asymp", help="coefficient asymptotics estimation")
     p.add_argument("--nu", required=True)
     p.add_argument("--target", default="sphere", help=TARGETS["asymp"])
-    p.add_argument("--order", type=int, default=60)
+    p.add_argument("--order", type=_count, default=60)
     common(p)
     p.set_defaults(func=cmd_asymp)
 
@@ -374,28 +394,26 @@ def build_parser() -> argparse.ArgumentParser:
         if mode != "boltzmann":
             m.add_argument("--n", type=int, default=1)
         if mode == "mcmc":
-            m.add_argument("--steps", type=int, default=100000)
+            m.add_argument("--steps", type=_count, default=100000)
         if mode == "boltzmann":
             m.add_argument("--t", default="t_nu")
             m.add_argument("--word", default="++")
-            m.add_argument("--series-order", type=int, default=30)
+            m.add_argument("--series-order", type=_count, default=30)
         m.add_argument("--seed", type=int, required=True)
-        m.add_argument("--reps", type=int, default=1)
-        m.add_argument("--r-max", type=int, default=4)
+        m.add_argument("--reps", type=_count, default=1)
+        m.add_argument("--r-max", type=_count, default=4)
         m.add_argument("--out", dest="output_dir", help="directory for per-sample JSON")
         common(m)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("stats", help="recompute statistics from stored samples")
     p.add_argument("--in", dest="input_dir", required=True)
-    p.add_argument("--r-max", type=int, default=4)
+    p.add_argument("--r-max", type=_count, default=4)
     common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("report", help="acceptance-criteria summary")
-    p.add_argument("--criteria", help="comma-separated ids, default all")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced orders for smoke runs (not the acceptance gate)")
+    p.add_argument("--criteria", type=_criterion_ids, help="comma-separated ids, default all")
     common(p)
     p.set_defaults(func=cmd_report)
 

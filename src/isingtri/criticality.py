@@ -5,8 +5,9 @@ The dominant-singularity location rho_nu is a root of one of two explicit
 polynomials, the quadratic branch below the critical weight and the cubic
 branch above it; at the critical weight itself both vanish at the exact
 quadratic-field point (25 sqrt7 - 55)/864.  Which positive root is the true
-radius is decided by matching the sphere-series coefficient ratios, and the
-match margin is recorded.
+radius is decided by the growth fit of `estimate_asymptotics` on the sphere
+series: the one root whose inverse lies in the fit's band, and the relative
+distance from the band's centre is recorded.
 
 Everything downstream of the exact layer works with rational-endpoint
 intervals: evaluation at t_nu adds a power-law tail fitted to the known
@@ -186,34 +187,6 @@ class CriticalData:
         return out
 
 
-def _ratio_radius_estimate(nu: Scalar) -> Interval:
-    """Radius estimate (in t^3) from sphere-series coefficient ratios.
-
-    Raw ratios approach rho like 1 + alpha/n, so one Richardson step gives a
-    usable band even at desk orders.
-    """
-    from .partition import sphere_series
-
-    series = sphere_series(nu, 33)
-    ks = series.support()
-    if len(ks) < 6:
-        raise InsufficientOrder("not enough sphere coefficients for a ratio estimate")
-    ns = [k / 3.0 for k in ks]
-    ratios = [_scalar_ratio_float(series.coeff(a), series.coeff(b))
-              for a, b in zip(ks, ks[1:])]
-    accel = [(b * rb - a * ra) / (b - a) for a, b, ra, rb in zip(ns, ns[1:], ratios, ratios[1:])]
-    tail = accel[-3:]
-    lo, hi = min(tail), max(tail)
-    spread = 4 * (hi - lo) + hi * 0.02 + 1e-12
-    return Interval(Fraction(max(lo - spread, 0.0)), Fraction(hi + spread))
-
-
-def _scalar_ratio_float(a: Scalar, b: Scalar) -> float:
-    ia = scalar_to_float(a, 64)
-    ib = scalar_to_float(b, 64)
-    return float(ia.mid / ib.mid)
-
-
 def critical_point(nu: Scalar, width: Fraction = Fraction(1, 10 ** 30)) -> CriticalData:
     """Locate rho_nu on the correct branch and certify it to the given width."""
     nu = as_scalar(nu)
@@ -244,15 +217,18 @@ def critical_point(nu: Scalar, width: Fraction = Fraction(1, 10 ** 30)) -> Criti
     if not roots:
         raise NoPositiveRoot(f"no positive root of {regime} at nu={format_scalar(nu)}")
 
-    estimate = _ratio_radius_estimate(nu)
-    admissible = [r for r in roots if not (r.hi < estimate.lo or r.lo > estimate.hi)]
+    # the sphere series' growth band estimates 1/rho: admit the roots whose
+    # inverse meets it, and measure each against 1/g for g the band's centre
+    from .partition import sphere_series
+
+    growth = _growth_fit(sphere_series(nu, 33), 1.0)[3]
+    admissible = [r for r in roots if r.lo * growth.lo <= 1 <= r.hi * growth.hi]
+    g = float(growth.mid)
     if len(admissible) == 1:
         chosen = admissible[0]
     else:
-        # fall back to the root closest to the estimate's midpoint
-        mid = float(estimate.mid)
-        chosen = min(roots, key=lambda r: abs(float(r.mid) - mid))
-    margin = abs(float(chosen.mid) - float(estimate.mid)) / float(estimate.mid)
+        chosen = min(roots, key=lambda r: abs(float(r.mid) * g - 1))
+    margin = abs(float(chosen.mid) * g - 1)
 
     rho_exact = None
     if chosen.width == 0:
@@ -402,6 +378,24 @@ def _band(values: list[float]) -> tuple[float, Interval]:
     return mid, Interval(Fraction(mid - half), Fraction(mid + half))
 
 
+def _growth_fit(series: TSeries, eps: float) -> tuple[list[float], list[float], list, Interval]:
+    """The points past the burn-in, as n and log c_n, the growth fits [m, e^L]
+    of the last m + 3 points for m = 1..7, and their band (see
+    `estimate_asymptotics`)."""
+    ks = series.support()
+    if len(ks) < 10:
+        raise InsufficientOrder("need at least 10 nonzero coefficients")
+    if len({k % 3 for k in ks}) != 1:
+        raise ValueError("series support must lie in one residue class mod 3")
+    ks = ks[3:]
+    offset = (-ks[0]) % 3
+    ns = [(k + offset) / 3.0 for k in ks]
+    logs = [_log_scalar(series.coeff(k)) for k in ks]
+    fits = [[m, math.exp(_fit(ns[-m - 3:], logs[-m - 3:], eps, m, True))]
+            for m in range(1, min(7, len(ns) - 3) + 1)]
+    return ns, logs, fits, _band([f[1] for f in fits])[1]
+
+
 def estimate_asymptotics(series: TSeries, crit: CriticalData) -> AsymptoticFit:
     """Growth rate, exponent and constant from the coefficients.
 
@@ -417,23 +411,12 @@ def estimate_asymptotics(series: TSeries, crit: CriticalData) -> AsymptoticFit:
     on the median of its fits and reaches the fit farthest from it: a
     heuristic spread, not an error bound.
     """
-    ks = series.support()
-    if len(ks) < 10:
-        raise InsufficientOrder("need at least 10 nonzero coefficients")
-    if len({k % 3 for k in ks}) != 1:
-        raise ValueError("series support must lie in one residue class mod 3")
-    ks = ks[3:]
-    offset = (-ks[0]) % 3
-    ns = [(k + offset) / 3.0 for k in ks]
-    logs = [_log_scalar(series.coeff(k)) for k in ks]
+    eps = 1.0 / 3.0 if crit.regime == "critical" else 1.0
+    ns, logs, growth_fits, growth = _growth_fit(series, eps)
 
     log_rho = math.log(float(crit.rho.mid))
     ratios = [l1 - l0 for l0, l1 in zip(logs, logs[1:])]          # log(c_{n+1}/c_n)
     growth_raw = [math.exp(r) for r in ratios]
-    eps = 1.0 / 3.0 if crit.regime == "critical" else 1.0
-    growth_fits = [[m, math.exp(_fit(ns[-m - 3:], logs[-m - 3:], eps, m, True))]
-                   for m in range(1, min(7, len(ns) - 3) + 1)]
-    _, growth = _band([f[1] for f in growth_fits])
 
     alpha_raw = [-(r + log_rho) / math.log(n1 / n0)
                  for r, n0, n1 in zip(ratios, ns, ns[1:])]
@@ -447,7 +430,7 @@ def estimate_asymptotics(series: TSeries, crit: CriticalData) -> AsymptoticFit:
     kappa = Interval(Fraction(min(kappa_raw[-2:])), Fraction(max(kappa_raw[-2:])))
 
     diag = {
-        "n_points": len(ks),
+        "n_points": len(ns),
         "growth_raw_tail": growth_raw[-4:],
         "growth_fits": growth_fits,
         "alpha_raw_tail": alpha_raw[-4:],

@@ -11,7 +11,7 @@ from isingtri.acceptance import CRITERIA, AcceptanceContext
 
 @pytest.fixture(scope="module")
 def ctx():
-    return AcceptanceContext(quick=False)
+    return AcceptanceContext()
 
 
 @pytest.mark.parametrize("cid", sorted(CRITERIA))

@@ -82,8 +82,9 @@ def test_unknown_flag_exits_2():
     (("coeffs", "--order", "5"), "word:"), (("oracle", "--order", "5"), "word:+x"),
     (("coeffs", "--order", "5"), "zplus:x"), (("oracle", "--order", "5"), "q:"),
     (("asymp",), "U"), (("oracle", "--order", "5"), "zplus:4"), (("coeffs", "--order", "5"), "sphere:"),
+    (("coeffs", "--order", "5"), "zplus:-5"), (("oracle", "--order", "3"), "q:-1"),
 ], ids=["coeffs", "oracle", "asymp", "empty-word", "bad-letter", "zplus-not-int", "q-empty",
-        "asymp-U", "oracle-zplus", "sphere-colon"])
+        "asymp-U", "oracle-zplus", "sphere-colon", "zplus-negative", "q-negative"])
 def test_unknown_target_exits_2_and_names_the_forms(command, target):
     proc = run_cli(*command, "--nu", "2", "--target", target)
     assert proc.returncode == 2
@@ -97,7 +98,7 @@ def test_parse_target_reads_each_kind():
     from isingtri.cli import _parse_target
     for cmd, target, parsed in [("coeffs", "sphere", ("sphere", None)), ("coeffs", "U", ("U", None)),
                                 ("asymp", "word:⊕⊖+", ("word", "+-+")),
-                                ("coeffs", "zplus:6", ("zplus", 6)), ("oracle", "q:-1", ("q", -1))]:
+                                ("coeffs", "zplus:6", ("zplus", 6)), ("oracle", "q:0", ("q", 0))]:
         assert _parse_target(Namespace(cmd=cmd, target=target)) == parsed
 
 
@@ -106,6 +107,38 @@ def test_a_target_outside_its_engine_domain_exits_1():
     proc = run_cli("coeffs", "--nu", "2", "--target", "zplus:2", "--order", "5")
     assert proc.returncode == 1
     assert "recursion applies to p >= 3" in json.loads(proc.stderr.strip().splitlines()[-1])["message"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("coeffs", "--nu", "2", "--target", "zplus:0", "--order", "5"), "recursion applies to p >= 3"),
+    (("oracle", "--nu", "2", "--target", "q:0", "--order", "3"), "boundary kinds require p >= 1"),
+], ids=["zplus-0", "q-0"])
+def test_a_zero_target_integer_is_left_to_the_engine(args, message):
+    # the grammar takes zplus:<p> and q:<p> for p >= 0 and the engines name their own bounds
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert message in json.loads(proc.stderr.strip().splitlines()[-1])["message"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("sample", "exact", "--nu", "2", "--n", "1", "--reps", "-3", "--seed", "1"), "--reps"),
+    (("sample", "mcmc", "--nu", "2", "--n", "1", "--steps", "-5", "--seed", "1"), "--steps"),
+    (("sample", "exact", "--nu", "2", "--n", "1", "--r-max", "0", "--seed", "1"), "--r-max"),
+    (("sample", "boltzmann", "--nu", "2", "--series-order", "0", "--seed", "1"), "--series-order"),
+    (("verify", "--nu", "2", "--order", "0"), "--order"),
+    (("coeffs", "--nu", "2", "--target", "sphere", "--order", "x"), "--order"),
+    (("stats", "--in", "/nonexistent/dir"), "'/nonexistent/dir'"),
+    (("stats", "--in", str(README.parent)), repr(str(README.parent))),
+    (("report", "--criteria", "12"), "ids 1-11"),
+    (("report", "--criteria", "1,x"), "ids 1-11"),
+    (("report", "--quick"), "--quick"),
+], ids=["reps", "steps", "r-max", "series-order", "verify-order", "order-not-int",
+        "stats-missing-dir", "stats-no-samples", "criteria-12", "criteria-x", "report-quick"])
+def test_a_bad_count_directory_or_selection_exits_2(args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -255,11 +288,11 @@ def test_oracle_output_hash_pinned(args, result_hash):
 
 
 @pytest.mark.parametrize("args, result_hash", [
-    # root isolation and the choice by the ratio estimate, on both branches
+    # root isolation and the choice by the sphere series' growth fit, on both branches
     (("critical", "--nu", "2"),
-     "5933522e69355755657ca20f64e01188c85446741bd23cf47c75c5c713f6e938"),
+     "12c950b172ac7814c7817af54e220af15641fb28703398357471edfe88a2e690"),
     (("critical", "--nu", "1/2"),
-     "4cb1f33414e24d603e480eb6824df064f5a57b48642b78cab97d67d6b7fa5342"),
+     "9b72a417c08a36972bab559be254d696d71079a14f05a5b36eaf6807af9aaeaa"),
     (("spectral", "--nu", "2", "--order", "40"),
      "a09cd8c48e20130b566e3c75618dc9388d07dd828d1d7ac8f2ae4959ad7d85b8"),
     (("asymp", "--nu", "1", "--target", "sphere", "--order", "60"),
@@ -597,8 +630,8 @@ def test_sample_boltzmann_at_t_nu_reports_its_truncated_mass():
     assert all(s["edges"] <= 30 for s in out["result"]["samples"])
 
 
-def test_report_quick_single_criterion():
-    proc = run_cli("report", "--criteria", "1", "--quick")
+def test_report_single_criterion():
+    proc = run_cli("report", "--criteria", "1")
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     validate(out["result"], "report")
@@ -606,11 +639,13 @@ def test_report_quick_single_criterion():
     assert "criterion 1" in out["result"]["text"]
 
 
-def test_report_quick_passes_every_criterion():
-    proc = run_cli("report", "--quick")
+def test_report_runs_the_criteria_it_is_given():
+    proc = run_cli("report", "--criteria", "5,1,3")
     assert proc.returncode == 0
-    criteria = json.loads(proc.stdout)["result"]["criteria"]
-    assert [c["id"] for c in criteria] == list(range(1, 12))
+    out = json.loads(proc.stdout)
+    assert out["manifest"]["params"] == {"criteria": [5, 1, 3]}
+    criteria = out["result"]["criteria"]
+    assert [c["id"] for c in criteria] == [1, 3, 5]
     assert all(c["passed"] for c in criteria)
 
 

@@ -11,6 +11,9 @@ from isingtri.criticality import (
     MeanMatrix,
     NegativeEntry,
     NonConvergence,
+    _growth_fit,
+    _isolate_positive_roots,
+    _poly_coeffs,
     _tail_sum,
     boundary_at_tnu,
     critical_point,
@@ -26,7 +29,7 @@ from isingtri.criticality import (
     spectral_radius,
 )
 from isingtri.exactnum import NU_C, RHO_NU_C, Y_C, Interval, scalar_to_float
-from isingtri.partition import WordTable
+from isingtri.partition import WordTable, sphere_series
 from isingtri.series import TSeries
 
 
@@ -69,13 +72,18 @@ def test_regimes_and_monotone_rho():
 
 
 @pytest.mark.parametrize("nu, chosen, other", [
+    (Fraction(18, 5), 9.414e-4, 6.881e-6),
     (Fraction(37, 10), 8.695e-4, 3.575e-4),
     (Fraction(4), 6.934e-4, 1.328e-3),
-], ids=["37/10", "4"])
+    (Fraction(5), 3.614e-4, 3.809e-3),
+    (Fraction(10), 4.669e-5, 8.770e-3),
+    (Fraction(100), 4.797e-8, 1.278e-2),
+], ids=["18/5", "37/10", "4", "5", "10", "100"])
 def test_critical_point_picks_one_of_two_positive_P1_roots(nu, chosen, other):
     # above nu = 1 + 3 sqrt(3)/2 the coefficient signs of P1 are (+, -, +-, +), so
-    # it has two positive roots; the ratio estimate picks the larger at 37/10 and
-    # the smaller at 4, which no "least positive root" rule gives at both
+    # it has two positive roots; the sphere series' growth fit picks the larger
+    # up to 37/10 and the smaller from 4 on, which no "least positive root" rule
+    # gives at both
     crit = critical_point(nu)
     assert crit.regime == "supercritical_P1"
     assert p1_poly(nu, crit.rho.lo) * p1_poly(nu, crit.rho.hi) <= 0
@@ -83,6 +91,30 @@ def test_critical_point_picks_one_of_two_positive_P1_roots(nu, chosen, other):
     rho = Fraction(other)
     assert not crit.rho.contains(rho)
     assert p1_poly(nu, rho * Fraction(999, 1000)) * p1_poly(nu, rho * Fraction(1001, 1000)) < 0
+
+
+# rho_nu at each weight, as chosen before the growth fit selected it
+RHO_BY_WEIGHT = {
+    "1/1000": 4.164815e+01, "1/100": 4.148160e+00, "1/10": 3.982602e-01, "1/3": 1.068311e-01,
+    "1/2": 6.531781e-02, "3/4": 3.775121e-02, "1": 2.405626e-02, "5/4": 1.590426e-02,
+    "13/10": 1.465729e-02, "137/100": 1.306820e-02, "138/100": 1.285470e-02,
+    "7/5": 1.243733e-02, "3/2": 1.054834e-02, "2": 4.967886e-03, "5/2": 2.672311e-03,
+    "3": 1.591435e-03, "7/2": 1.021267e-03, "359/100": 9.489608e-04, "18/5": 9.413515e-04,
+    "37/10": 8.695342e-04, "4": 6.933987e-04, "5": 3.614056e-04, "10": 4.668800e-05,
+    "100": 4.797331e-08,
+}
+
+
+def test_the_growth_fit_admits_exactly_one_root():
+    for weight, rho in RHO_BY_WEIGHT.items():
+        nu = Fraction(weight)
+        crit = critical_point(nu)
+        growth = _growth_fit(sphere_series(nu, 33), 1.0)[3]
+        roots = _isolate_positive_roots(_poly_coeffs(nu, crit.regime), Fraction(1, 10 ** 30))
+        admitted = [(r.lo, r.hi) for r in roots if r.lo * growth.lo <= 1 <= r.hi * growth.hi]
+        assert admitted == [(crit.rho.lo, crit.rho.hi)], weight
+        assert float(crit.rho) == pytest.approx(rho, rel=1e-6), weight
+        assert crit.selection_margin < 1e-3, weight
 
 
 def test_eval_zero_series():
