@@ -1,8 +1,9 @@
 """Acceptance suite: one callable per criterion, shared by pytest and the CLI.
 
-Each criterion function returns a record with `passed`, the measured
-quantities and its runtime.  `run_acceptance` executes a selection and reuses
-the expensive series tables across criteria through a shared context.
+Each criterion function returns its verdict and the measured quantities;
+`CRITERIA` names it, and `run_criterion` times it and labels the result.
+`run_acceptance` executes a selection and reuses the expensive series tables
+across criteria through a shared context.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from .criticality import (
     spectral_radius,
 )
 from .exactnum import NU_C, RHO_NU_C, Y_C, Interval, format_scalar, scalar_to_float
-from .maps import enumerate_maps, flip_word, min_degree, oracle_series, oracle_sphere
+from .maps import enumerate_maps, flip_word, min_degree, oracle_sphere
 from .partition import (
     WordTable,
     check_q_identities,
     check_U,
+    oracle_mismatches,
     sphere_series,
     solve_U,
     verify_catalytic,
@@ -52,6 +54,11 @@ class CriterionResult:
     def to_json(self) -> dict:
         return {"id": self.cid, "name": self.name, "passed": self.passed,
                 "runtime_s": round(self.runtime_s, 2), "details": self.details}
+
+    def line(self) -> str:
+        """The one-line verdict that `report` and the pytest gate print."""
+        return (f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.cid}: {self.name} "
+                f"({self.runtime_s:.1f}s)")
 
 
 class AcceptanceContext:
@@ -81,45 +88,30 @@ class AcceptanceContext:
 NU_GRID = (Fraction(1, 2), Fraction(1), Fraction(2), NU_C)
 
 
-def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_1(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Exact critical constants in the quadratic field."""
-    t0 = time.time()
     v1 = p1_poly(NU_C, RHO_NU_C)
     v2 = p2_poly(NU_C, RHO_NU_C)
-    passed = v1 == 0 and v2 == 0
-    return CriterionResult(1, "exact critical constants", passed,
-                           {"P1": format_scalar(v1), "P2": format_scalar(v2),
-                            "rho_c": format_scalar(RHO_NU_C)},
-                           time.time() - t0)
+    return v1 == 0 and v2 == 0, {"P1": format_scalar(v1), "P2": format_scalar(v2),
+                                 "rho_c": format_scalar(RHO_NU_C)}
 
 
-def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_2(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Engine coefficients equal brute-force coefficients, all words to t^9."""
-    t0 = time.time()
-    order = 9
+    order, max_len = 9, 4
     mismatches = []
-    checked = 0
     for nu in NU_GRID:
         words = ctx.table(nu, order + 1)
         sph = sphere_series(nu, order, words)
         if not sph.eq_to_order(oracle_sphere(nu, order), order):
             mismatches.append((format_scalar(nu), "sphere"))
-        for p in (1, 2, 3, 4):
-            for bits in itertools.product("+-", repeat=p):
-                w = "".join(bits)
-                eng = words.series(w)
-                orc = oracle_series(w, nu, order)
-                checked += 1
-                if not eng.eq_to_order(orc, order):
-                    mismatches.append((format_scalar(nu), w))
-    return CriterionResult(2, "oracle equivalence |w|<=4, n<=9", not mismatches,
-                           {"series_checked": checked, "mismatches": mismatches},
-                           time.time() - t0)
+        mismatches += [(format_scalar(nu), w) for w in oracle_mismatches(words, order, max_len)]
+    checked = len(NU_GRID) * sum(2 ** p for p in range(1, max_len + 1))
+    return not mismatches, {"series_checked": checked, "mismatches": mismatches}
 
 
-def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_3(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """One-catalytic-variable residual identically zero."""
-    t0 = time.time()
     runs = []
     ok = True
     for nu, order in ((Fraction(1, 2), 15), (Fraction(2), 15), (NU_C, 12)):
@@ -127,13 +119,11 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
         runs.append({"nu": format_scalar(nu), "order": order,
                      "residual_zero": rep.ok, "degenerate": rep.degenerate})
         ok = ok and rep.ok
-    return CriterionResult(3, "catalytic equation residual", ok,
-                           {"runs": runs}, time.time() - t0)
+    return ok, {"runs": runs}
 
 
-def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_4(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Q-series identities exactly to order 9 (corrected pinched-boundary form)."""
-    t0 = time.time()
     runs = []
     ok = True
     for nu in (Fraction(1, 2), Fraction(2), NU_C):
@@ -142,13 +132,11 @@ def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
             ok = ok and r.ok
         runs.append({"nu": format_scalar(nu),
                      "identities": [r.to_json() for r in results]})
-    return CriterionResult(4, "Q-identities to order 9", ok,
-                           {"runs": runs}, time.time() - t0)
+    return ok, {"runs": runs}
 
 
-def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_5(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Substitution series: residual zero to order >= 30 and leading term."""
-    t0 = time.time()
     order = 30
     runs = []
     ok = True
@@ -160,13 +148,11 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
         runs.append({"nu": format_scalar(nu), "residual_zero": res.is_zero(),
                      "t3_is_4nu2": lead, "t3_support": support})
         ok = ok and res.is_zero() and lead and support
-    return CriterionResult(5, "U-equation consistency to order 30", ok,
-                           {"runs": runs}, time.time() - t0)
+    return ok, {"runs": runs}
 
 
-def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_6(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Spectral radius of the mean matrix at the critical weight."""
-    t0 = time.time()
     order = 46
     crit = ctx.crit(NU_C)
     n_eval = order - 1
@@ -175,17 +161,14 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     radius = spectral_radius(matrix)
     lo, hi = radius.float_bounds()
     passed = (0.98985 - 0.02 <= lo and hi <= 0.98985 + 0.02 and hi < 1.0)
-    return CriterionResult(6, "spectral radius at nu_c", passed,
-                           {"radius": [lo, hi], "target": 0.98985,
-                            "series_order": n_eval,
-                            "Z_+": z1.float_bounds(), "Z_++": z2.float_bounds(),
-                            "Z_+-": zm.float_bounds()},
-                           time.time() - t0)
+    return passed, {"radius": [lo, hi], "target": 0.98985,
+                    "series_order": n_eval,
+                    "Z_+": z1.float_bounds(), "Z_++": z2.float_bounds(),
+                    "Z_+-": zm.float_bounds()}
 
 
-def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_7(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Hull slot factor ~ 0.105 and exactly below y_c."""
-    t0 = time.time()
     order = 46
     crit = ctx.crit(NU_C)
     _, z2, zm = boundary_at_tnu(ctx.table(NU_C, order), crit, order - 1)
@@ -201,18 +184,15 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
               and exact_below
               and ratio.hi < yc.lo
               and slot.hi < yc.lo)
-    return CriterionResult(7, "hull constant 0.105 < y_c", passed,
-                           {"slot_factor": [slot_lo, slot_hi],
-                            "closed_form": float(closed),
-                            "exact_below_yc": exact_below,
-                            "min_ratio": ratio.float_bounds(),
-                            "y_c": float(yc)},
-                           time.time() - t0)
+    return passed, {"slot_factor": [slot_lo, slot_hi],
+                    "closed_form": float(closed),
+                    "exact_below_yc": exact_below,
+                    "min_ratio": ratio.float_bounds(),
+                    "y_c": float(yc)}
 
 
-def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_8(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Exponent estimates: 5/2 off criticality, 7/3 at criticality."""
-    t0 = time.time()
     n1, nc = 61, 46
     crit1 = ctx.crit(Fraction(1))
     critc = ctx.crit(NU_C)
@@ -226,20 +206,17 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
               and ac < a1 - 0.05)
     # heuristic, outside the gate: whether the nu_c band itself rules out 5/2
     separates = not fitc.alpha.lo <= Fraction(5, 2) <= fitc.alpha.hi
-    return CriterionResult(8, "exponent transition 5/2 vs 7/3", passed,
-                           {"alpha_nu1": a1, "alpha_nuc": ac,
-                            "band_separates_regimes": separates,
-                            "orders": [n1 - 1, nc - 1],
-                            "alpha_band_nu1": fit1.alpha.float_bounds(),
-                            "alpha_band_nuc": fitc.alpha.float_bounds(),
-                            "n_fits": [len(fit1.diagnostics["alpha_fits"]),
-                                       len(fitc.diagnostics["alpha_fits"])]},
-                           time.time() - t0)
+    return passed, {"alpha_nu1": a1, "alpha_nuc": ac,
+                    "band_separates_regimes": separates,
+                    "orders": [n1 - 1, nc - 1],
+                    "alpha_band_nu1": fit1.alpha.float_bounds(),
+                    "alpha_band_nuc": fitc.alpha.float_bounds(),
+                    "n_fits": [len(fit1.diagnostics["alpha_fits"]),
+                               len(fitc.diagnostics["alpha_fits"])]}
 
 
-def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_9(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Growth rate of the sphere series at nu = 1 within 1% of 1/rho."""
-    t0 = time.time()
     n1 = 61
     crit1 = ctx.crit(Fraction(1))
     sph1 = sphere_series(Fraction(1), n1 - 1, ctx.table(Fraction(1), n1))
@@ -249,12 +226,9 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
     rel = abs(growth - inv_rho) / inv_rho
     # rho is the positive root of the quadratic branch at nu = 1
     poly_val = p2_poly(Fraction(1), crit1.rho.mid)
-    return CriterionResult(9, "growth rate vs exact radius at nu=1",
-                           rel <= 0.01,
-                           {"growth_estimate": growth, "inv_rho": inv_rho,
-                            "relative_error": rel,
-                            "P2(1, rho_mid)": float(poly_val)},
-                           time.time() - t0)
+    return rel <= 0.01, {"growth_estimate": growth, "inv_rho": inv_rho,
+                         "relative_error": rel,
+                         "P2(1, rho_mid)": float(poly_val)}
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +310,8 @@ def chi2_test(counts: dict, law: dict, total: int) -> tuple[float, float, int]:
     return stat, _chi2_sf(stat, max(dof, 1)), dof
 
 
-def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_10(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Sampler correctness: MCMC TV, exact-sampler chi-square, m bookkeeping."""
-    t0 = time.time()
     nu = Fraction(2)
     steps = 120_000
     law1 = gibbs_law(nu, 1)
@@ -384,17 +357,14 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     outside = (sum(v for k, v in c1.items() if k not in law1)
                + sum(v for k, v in c2.items() if k not in law2))
     passed = tv < 0.02 and p1 > 0.01 and p2 > 0.01 and outside == 0
-    return CriterionResult(10, "sampler correctness (TV, chi2, bookkeeping)", passed,
-                           {"mcmc_tv": tv, "mcmc_steps": steps,
-                            "chi2_n1": [stat1, p1, dof1],
-                            "chi2_n2": [stat2, p2, dof2],
-                            "outside_support": outside},
-                           time.time() - t0)
+    return passed, {"mcmc_tv": tv, "mcmc_steps": steps,
+                    "chi2_n1": [stat1, p1, dof1],
+                    "chi2_n2": [stat2, p2, dof2],
+                    "outside_support": outside}
 
 
-def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_11(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Structural invariants on randomized (nu, word, order) draws."""
-    t0 = time.time()
     rng = random.Random(11_2024)
     failures = []
     for trial in range(6):
@@ -416,20 +386,33 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
         mixed = words.layers[0][:order + 1]           # the t-layers of S(x, y)
         if any(layer != {(j, i): c for (i, j), c in layer.items()} for layer in mixed):
             failures.append((trial, "xy-symmetry", "", None))
-    return CriterionResult(11, "structural invariants (randomized)", not failures,
-                           {"failures": failures}, time.time() - t0)
+    return not failures, {"failures": failures}
 
 
 CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10, 11: criterion_11,
+    1: ("exact critical constants", criterion_1),
+    2: ("oracle equivalence |w|<=4, n<=9", criterion_2),
+    3: ("catalytic equation residual", criterion_3),
+    4: ("Q-identities to order 9", criterion_4),
+    5: ("U-equation consistency to order 30", criterion_5),
+    6: ("spectral radius at nu_c", criterion_6),
+    7: ("hull constant 0.105 < y_c", criterion_7),
+    8: ("exponent transition 5/2 vs 7/3", criterion_8),
+    9: ("growth rate vs exact radius at nu=1", criterion_9),
+    10: ("sampler correctness (TV, chi2, bookkeeping)", criterion_10),
+    11: ("structural invariants (randomized)", criterion_11),
 }
 
 
+def run_criterion(cid: int, ctx: AcceptanceContext) -> CriterionResult:
+    """Run one criterion on the shared context, timed and labelled."""
+    name, check = CRITERIA[cid]
+    t0 = time.time()
+    passed, details = check(ctx)
+    return CriterionResult(cid, name, passed, details, time.time() - t0)
+
+
 def run_acceptance(which: list[int] | None = None) -> list[CriterionResult]:
+    """Each selected criterion once, in ascending id order (all by default)."""
     ctx = AcceptanceContext()
-    out = []
-    for cid in sorted(which or CRITERIA):
-        out.append(CRITERIA[cid](ctx))
-    return out
+    return [run_criterion(cid, ctx) for cid in sorted(set(which or CRITERIA))]

@@ -29,6 +29,7 @@ exact scalars.  No engine here calls the generic Picard solver
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from . import series
@@ -557,7 +558,7 @@ def zplus_recursion(p: int, nu: Scalar, order: int, words: WordTable) -> series.
 
 
 # ---------------------------------------------------------------------------
-# identities against the non-simple-boundary series
+# checks against the brute-force oracle: non-simple-boundary identities, words
 # ---------------------------------------------------------------------------
 
 class IdentityResult:
@@ -622,3 +623,13 @@ def check_q_identities(words: WordTable, order: int) -> list[IdentityResult]:
         )
         record("Z_++ in Q1, Q3", z_pp, rhs)
     return results
+
+
+def oracle_mismatches(words: WordTable, order: int, max_len: int) -> list[str]:
+    """The boundary words of length 1..max_len, shortest first, whose table
+    series differs from the brute-force oracle's through `order`."""
+    from .maps import oracle_series
+
+    return [w for p in range(1, max_len + 1)
+            for w in map("".join, itertools.product("+-", repeat=p))
+            if not words.series(w).eq_to_order(oracle_series(w, words.nu, order), order)]

@@ -32,6 +32,8 @@ from .exactnum import (Pair, Scalar, _integer_weight, as_scalar, integer_pairs, 
 from .maps import CombMap, normalize_word, spins_to_word, word_to_spins
 
 RNG_ALGORITHM = "python-mt19937/sha256-derived-streams"
+# the Markov chain fully checks its map and counts once per this many steps
+VALIDATE_EVERY = 10_000
 
 
 class CoefficientsMissing(ValueError):
@@ -487,15 +489,13 @@ def _insert_vertex_in_face(alpha: list[int], sigma: list[int]) -> None:
     _set_faces(alpha, sigma, ((x, py, qx), (y, pz, qy), (z, px, qz)))
 
 
-def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int,
-                validate_every: int = 10_000,
-                collector=None) -> CombMap:
+def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int, collector=None) -> CombMap:
     """Heat-bath spins + edge flips + uniform re-rooting targeting the
     size-3n Gibbs law; detailed balance holds move by move (the re-rooting
     proposal is symmetric on rooted maps and the law only depends on the
     unrooted content, so it mixes rootings without changing the target).
     Moves cost time in proportion to the degrees they touch; the map and the
-    maintained counts are fully checked every `validate_every` steps and at
+    maintained counts are fully checked every `VALIDATE_EVERY` steps and at
     the end.  With nu = m / den, a heat-bath move weighs the two spins of a
     vertex nu^k+ : nu^k- as m^D : den^D, D = |k+ - k-|, in this order when
     k+ >= k-, and a flip is accepted with probability min(1, nu^delta)."""
@@ -574,7 +574,7 @@ def mcmc_sample(nu: Scalar, n: int, steps: int, seed: int,
         state.root = g          # re-rooted at dart g
         if collector is not None:
             collector(state)
-        if validate_every and (step + 1) % validate_every == 0:
+        if (step + 1) % VALIDATE_EVERY == 0:
             _checked_map(state)
     return _checked_map(state)
 

@@ -6,7 +6,7 @@ the same criteria back the CLI's `report` subcommand.
 
 import pytest
 
-from isingtri.acceptance import CRITERIA, AcceptanceContext
+from isingtri.acceptance import CRITERIA, AcceptanceContext, run_acceptance, run_criterion
 
 
 @pytest.fixture(scope="module")
@@ -16,9 +16,13 @@ def ctx():
 
 @pytest.mark.parametrize("cid", sorted(CRITERIA))
 def test_criterion(cid, ctx, capsys):
-    result = CRITERIA[cid](ctx)
-    line = (f"[{'PASS' if result.passed else 'FAIL'}] "
-            f"criterion {result.cid}: {result.name} ({result.runtime_s:.1f}s)")
+    result = run_criterion(cid, ctx)
     with capsys.disabled():
-        print(line, flush=True)
+        print(result.line(), flush=True)
     assert result.passed, result.details
+
+
+def test_a_repeated_id_runs_once():
+    results = run_acceptance([1, 1])
+    assert [r.cid for r in results] == [1]
+    assert results[0].line().startswith("[PASS] criterion 1: exact critical constants (")

@@ -132,8 +132,13 @@ def test_a_zero_target_integer_is_left_to_the_engine(args, message):
     (("report", "--criteria", "12"), "ids 1-11"),
     (("report", "--criteria", "1,x"), "ids 1-11"),
     (("report", "--quick"), "--quick"),
+    (("sample", "exact", "--nu", "2", "--n", "-3", "--seed", "1"), "argument --n:"),
+    (("sample", "mcmc", "--nu", "2", "--n", "0", "--seed", "1"), "argument --n:"),
+    (("sample", "boltzmann", "--nu", "2", "--word=", "--seed", "1"), "argument --word:"),
+    (("sample", "boltzmann", "--nu", "2", "--word", "+x", "--seed", "1"), "argument --word:"),
 ], ids=["reps", "steps", "r-max", "series-order", "verify-order", "order-not-int",
-        "stats-missing-dir", "stats-no-samples", "criteria-12", "criteria-x", "report-quick"])
+        "stats-missing-dir", "stats-no-samples", "criteria-12", "criteria-x", "report-quick",
+        "exact-n-negative", "mcmc-n-0", "word-empty", "word-bad-letter"])
 def test_a_bad_count_directory_or_selection_exits_2(args, message):
     proc = run_cli(*args)
     assert proc.returncode == 2
@@ -631,12 +636,14 @@ def test_sample_boltzmann_at_t_nu_reports_its_truncated_mass():
 
 
 def test_report_single_criterion():
-    proc = run_cli("report", "--criteria", "1")
+    proc = run_cli("report", "--criteria", "1,1")      # a repeated id runs once
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     validate(out["result"], "report")
+    assert out["manifest"]["params"] == {"criteria": [1]}
+    assert [c["id"] for c in out["result"]["criteria"]] == [1]
     assert out["result"]["all_passed"] is True
-    assert "criterion 1" in out["result"]["text"]
+    assert out["result"]["text"].count("criterion 1") == 1
 
 
 def test_report_runs_the_criteria_it_is_given():
@@ -647,6 +654,23 @@ def test_report_runs_the_criteria_it_is_given():
     criteria = out["result"]["criteria"]
     assert [c["id"] for c in criteria] == [1, 3, 5]
     assert all(c["passed"] for c in criteria)
+
+
+def test_report_text_is_the_criterion_lines(monkeypatch, capsys):
+    from isingtri import acceptance, cli
+
+    seen = []
+    run = acceptance.run_acceptance
+
+    def recording(which):
+        seen.extend(run(which))
+        return seen
+
+    monkeypatch.setattr(acceptance, "run_acceptance", recording)
+    assert cli.main(["report", "--criteria", "3,1"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert [r.cid for r in seen] == [1, 3]
+    assert result["text"] == "\n".join(r.line() for r in seen)
 
 
 def test_a_bug_keeps_its_traceback(monkeypatch):

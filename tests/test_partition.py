@@ -12,6 +12,7 @@ from isingtri.partition import (
     WordTable,
     check_q_identities,
     check_U,
+    oracle_mismatches,
     solve_dobrushin,
     solve_U,
     sphere_series,
@@ -545,6 +546,19 @@ def test_q_identities_check_to_the_given_order():
     assert all(r.checked_to == 7 for r in check_q_identities(words, 7))
     with pytest.raises(ValueError):
         check_q_identities(words, 12)
+
+
+def test_oracle_mismatches_names_a_corrupted_word(monkeypatch):
+    words = WordTable(NU, 8)
+    assert oracle_mismatches(words, 6, 3) == []
+    genuine = WordTable.series
+
+    def corrupted(self, w):
+        out = genuine(self, w)
+        return out.scale(Fraction(2)) if w == "+--" else out
+
+    monkeypatch.setattr(WordTable, "series", corrupted)
+    assert oracle_mismatches(words, 6, 3) == ["+--"]
 
 
 def test_q_identity_literal_form_fails():

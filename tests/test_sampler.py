@@ -287,8 +287,20 @@ def test_fan_construction():
         assert m.n_edges == 3 * n
 
 
-def test_mcmc_preserves_structure_and_bookkeeping():
-    final = mcmc_sample(NU, 2, 3000, seed=42, validate_every=500)
+def test_mcmc_preserves_structure_and_bookkeeping(monkeypatch):
+    from isingtri import sampler
+
+    calls = []
+    validate = CombMap.validate
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.n_edges)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(CombMap, "validate", counting)
+    monkeypatch.setattr(sampler, "VALIDATE_EVERY", 500)
+    final = mcmc_sample(NU, 2, 3000, seed=42)
+    assert len(calls) == 8          # the start map, six periodic checks, the returned map
     final.validate("sphere")
     assert final.n_edges == 6
 
@@ -317,7 +329,7 @@ def test_local_flip_test_matches_full_validation(n, seed, steps, pick):
         assert state.vmins == _least_darts(state.sigma)
         last["state"] = state
 
-    mcmc_sample(NU, n, steps, seed=seed, validate_every=0, collector=collector)
+    mcmc_sample(NU, n, steps, seed=seed, collector=collector)
     if steps:
         alpha, sigma = last["state"].alpha, list(last["state"].sigma)
     else:
@@ -378,7 +390,7 @@ def test_mcmc_validates_the_map_only_at_build_and_end(monkeypatch):
         return validate(self, *args, **kwargs)
 
     monkeypatch.setattr(CombMap, "validate", counting)
-    mcmc_sample(NU, 8, 500, seed=1, validate_every=0)
+    mcmc_sample(NU, 8, 500, seed=1)
     assert calls == [24, 24]        # the start map and the returned map
 
 
